@@ -10,11 +10,11 @@ import numpy as np
 
 from meyerwave import (decompose_quadrature, psi, reconstruct_quadrature,
                        sample)
-from meyerwave.signals import dft, interior_slice
+from meyerwave.signals import dft, interior_slice, symmetric_grid
 
 dt = 1.0 / 64.0
 span = 16.0
-n = 2 * int(round(span / dt)) + 1
+n = symmetric_grid(span, dt)
 sig = sample(psi, -span, dt, n)
 
 s_c, s_s = decompose_quadrature(sig)

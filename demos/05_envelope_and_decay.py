@@ -9,11 +9,11 @@ transition ramp leaves derivative kinks in the spectra, giving t^-2
 import numpy as np
 
 from meyerwave import envelope, phi, psi, sample, scale_from_wavelet
-from meyerwave.signals import interior_slice
+from meyerwave.signals import interior_slice, symmetric_grid
 from meyerwave.verify import decay_slope
 
 dt = 1.0 / 64.0
-n = 2 * int(round(16.0 / dt)) + 1
+n = symmetric_grid(16.0, dt)
 sig = sample(psi, -16.0, dt, n)
 inner = interior_slice(n)
 t = sig.times

@@ -8,7 +8,9 @@ import argparse
 import os
 import sys
 
-from . import export, signals, verify
+import numpy as np
+
+from . import closed_form, export, signals, verify
 from .quadrature import NoConvergence, QuadratureConfig
 
 EXIT_OK = 0
@@ -90,10 +92,7 @@ def _cmd_verify(args):
 
 
 def _cmd_decompose(args):
-    from . import closed_form
-    import numpy as np
-
-    n = 2 * int(round(args.grid_span / args.grid_dt)) + 1
+    n = signals.symmetric_grid(args.grid_span, args.grid_dt)
     sig = signals.sample(closed_form.psi, -args.grid_span, args.grid_dt, n)
     s_c, s_s = signals.decompose_quadrature(sig, args.cutoff)
     rebuilt = signals.reconstruct_quadrature(s_c, s_s)
@@ -101,12 +100,11 @@ def _cmd_decompose(args):
     t = sig.times
 
     os.makedirs(args.output, exist_ok=True)
-    ext = args.format
     series = [("s_c", s_c.samples), ("s_s", s_s.samples),
               ("reconstruction", rebuilt.samples),
               ("reconstruction_error", error)]
     for name, values in series:
-        path = os.path.join(args.output, f"meyer_{name}.{ext}")
+        path = os.path.join(args.output, f"meyer_{name}.{args.format}")
         try:
             _write_series(path, args.format, name, "t", t, values)
         except OSError as exc:
@@ -128,8 +126,7 @@ def main(argv=None):
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (export.InvalidRequest, signals.InvalidGrid,
-            signals.GridTooCoarse, signals.GridMismatch, ValueError) as exc:
+    except ValueError as exc:    # every library usage error subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -99,17 +99,10 @@ _PSI2 = _RationalForm(center=0.5, p=8.0 / (3.0 * np.pi), q=8.0 * np.pi / 3.0,
                       r=1.0 / np.pi, s=4.0 * np.pi / 3.0,
                       d1=1.0, d3=-64.0 / 9.0, root_offset=0.375)
 
-_PHI_AT_ZERO = 2.0 / 3.0 + 4.0 / (3.0 * np.pi)
-
 
 def phi(t):
     """Meyer scaling function.  Even, peaks at t = 0 with value 2/3 + 4/(3pi)."""
-    out = _PHI(t)
-    if np.ndim(t) == 0:
-        return _PHI_AT_ZERO if t == 0.0 else out
-    out = np.atleast_1d(out)
-    out[np.asarray(t, dtype=float) == 0.0] = _PHI_AT_ZERO
-    return out.reshape(np.shape(t))
+    return _PHI(t)
 
 
 def psi1(t):
@@ -151,8 +144,6 @@ def singular_points():
         return points, limits
 
     phi_pts, phi_lims = row(_PHI)
-    # keep the printed special-case constant for t = 0
-    phi_lims = (phi_lims[0], _PHI_AT_ZERO, phi_lims[2])
     psi1_pts, psi1_lims = row(_PSI1)
     psi2_pts, psi2_lims = row(_PSI2)
     return SingularPointTable(phi_pts, phi_lims, psi1_pts, psi1_lims,

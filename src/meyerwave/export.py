@@ -14,17 +14,7 @@ import numpy as np
 
 from . import closed_form, quadrature, signals, spectral
 
-MAX_EXPORT_POINTS = 10_000_000
-
-# functions evaluated against an angular-frequency axis
-SPECTRUM_FUNCTIONS = ("phi_spectrum", "psi_spectrum_magnitude")
-
-FUNCTIONS = ("phi", "psi", "psi1", "psi2",
-             "phi_spectrum", "psi_spectrum_magnitude",
-             "envelope", "s_c", "s_s",
-             "phi_oracle", "psi_oracle")
-
-__all__ = ["InvalidRequest", "ExportRequest", "FUNCTIONS",
+__all__ = ["InvalidRequest", "ExportRequest", "SERIES", "FUNCTIONS",
            "SPECTRUM_FUNCTIONS", "grid_points", "evaluate_series",
            "write_csv", "write_json", "parse_csv"]
 
@@ -48,7 +38,7 @@ class ExportRequest:
             raise InvalidRequest("start must be below end")
         if not self.step > 0:
             raise InvalidRequest("step must be positive")
-        if (self.t_end - self.t_start) / self.step > MAX_EXPORT_POINTS:
+        if (self.t_end - self.t_start) / self.step > signals.MAX_GRID_POINTS:
             raise InvalidRequest("export would exceed the point budget")
         if self.format not in ("csv", "json"):
             raise InvalidRequest(f"unknown format {self.format!r}")
@@ -59,25 +49,46 @@ def grid_points(t_start, t_end, step):
     return t_start + step * np.arange(n)
 
 
+def _psi_signal(t, step):
+    """psi sampled on the export grid, which is also the DFT grid."""
+    sig = signals.SampledSignal(t[0], step, closed_form.psi(t))
+    signals.require_fine_grid(sig)
+    return sig
+
+
+# name -> (axis label, evaluator(t, step, cutoff, quad_cfg)), in the CLI's
+# choices order.  Evaluators look library functions up through their
+# module on each call, so that a replaced module attribute takes effect.
+SERIES = {
+    "phi": ("t", lambda t, *_: closed_form.phi(t)),
+    "psi": ("t", lambda t, *_: closed_form.psi(t)),
+    "psi1": ("t", lambda t, *_: closed_form.psi1(t)),
+    "psi2": ("t", lambda t, *_: closed_form.psi2(t)),
+    "phi_spectrum": ("w", lambda t, *_: spectral.scale_spectrum(t)),
+    "psi_spectrum_magnitude":
+        ("w", lambda t, *_: spectral.wavelet_spectrum_magnitude(t)),
+    "envelope": ("t", lambda t, step, *_:
+                 signals.envelope(_psi_signal(t, step)).samples),
+    "s_c": ("t", lambda t, step, cutoff, _: signals.decompose_quadrature(
+        _psi_signal(t, step), cutoff)[0].samples),
+    "s_s": ("t", lambda t, step, cutoff, _: signals.decompose_quadrature(
+        _psi_signal(t, step), cutoff)[1].samples),
+    "phi_oracle": ("t", lambda t, step, cutoff, quad_cfg: np.array(
+        [quadrature.phi_oracle(tv, quad_cfg) for tv in t])),
+    "psi_oracle": ("t", lambda t, step, cutoff, quad_cfg: np.array(
+        [quadrature.psi_oracle(tv, quad_cfg) for tv in t])),
+}
+FUNCTIONS = tuple(SERIES)
+# functions evaluated against an angular-frequency axis
+SPECTRUM_FUNCTIONS = tuple(name for name, (label, _) in SERIES.items()
+                           if label == "w")
+
+
 def evaluate_series(req, cutoff=signals.DEFAULT_CUTOFF, quad_cfg=None):
     """Evaluate the requested series; returns (axis_label, axis, values)."""
     t = grid_points(req.t_start, req.t_end, req.step)
-    name = req.function
-    if name in ("phi", "psi", "psi1", "psi2"):
-        return "t", t, getattr(closed_form, name)(t)
-    if name == "phi_spectrum":
-        return "w", t, spectral.scale_spectrum(t)
-    if name == "psi_spectrum_magnitude":
-        return "w", t, spectral.wavelet_spectrum_magnitude(t)
-    if name in ("phi_oracle", "psi_oracle"):
-        fn = getattr(quadrature, name)
-        return "t", t, np.array([fn(tv, quad_cfg) for tv in t])
-    # grid-coupled signal operations: the export grid is the DFT grid
-    sig = signals.SampledSignal(t[0], req.step, closed_form.psi(t))
-    if name == "envelope":
-        return "t", t, signals.envelope(sig).samples
-    s_c, s_s = signals.decompose_quadrature(sig, cutoff)
-    return "t", t, (s_c if name == "s_c" else s_s).samples
+    label, evaluate = SERIES[req.function]
+    return label, t, evaluate(t, req.step, cutoff, quad_cfg)
 
 
 def write_csv(stream, name, axis_label, axis, values):

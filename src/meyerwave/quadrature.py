@@ -88,23 +88,22 @@ def integrate(f, a, b, cfg=None, initial_panels=1):
     raise NoConvergence(prev, change)
 
 
-def _oscillation_panels(t):
-    # Resolve the cos(w t) oscillations before doubling begins.
-    return max(1, math.ceil(abs(t)))
+def _branch_integral(f, branches, x, cfg):
+    """Sum of the integrals of f between consecutive branch points, each
+    starting from enough panels to resolve the cos(w x) oscillations."""
+    base = max(1, math.ceil(abs(x)))
+    return sum(integrate(f, lo, hi, cfg, base)
+               for lo, hi in zip(branches, branches[1:]))
 
 
 def phi_oracle(t, cfg=None):
     """Scaling function by quadrature; split at the spectral branch point."""
-    cfg = cfg or QuadratureConfig()
     t = float(t)
 
     def f(w):
         return scale_spectrum(w) * np.cos(w * t)
 
-    base = _oscillation_panels(t)
-    total = (integrate(f, 0.0, W_LO, cfg, base)
-             + integrate(f, W_LO, W_MID, cfg, base))
-    return 2.0 / SQRT_2PI * total
+    return 2.0 / SQRT_2PI * _branch_integral(f, (0.0, W_LO, W_MID), t, cfg)
 
 
 def psi_oracle(t, cfg=None):
@@ -114,16 +113,10 @@ def psi_oracle(t, cfg=None):
     the support band; the kernel cos(w (t - 1/2)) carries the half-sample
     phase of the wavelet spectrum.
     """
-    cfg = cfg or QuadratureConfig()
-    t = float(t)
-    x = t - 0.5
+    x = float(t) - 0.5
 
     def f(w):
         return scale_spectrum(0.5 * w) * scale_spectrum(w - 2.0 * np.pi) \
             * np.cos(w * x)
 
-    base = _oscillation_panels(x)
-    total = 0.0
-    for lo, hi in ((W_LO, W_MID), (W_MID, 2.0 * np.pi), (2.0 * np.pi, W_HI)):
-        total += integrate(f, lo, hi, cfg, base)
-    return 2.0 * total
+    return 2.0 * _branch_integral(f, (W_LO, W_MID, 2.0 * np.pi, W_HI), x, cfg)

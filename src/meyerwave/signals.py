@@ -25,12 +25,14 @@ CARRIER = 2.0 * np.pi            # synchronous-detection carrier w0
 DEFAULT_CUTOFF = 2.0 * np.pi     # valid anywhere in (4pi/3, 8pi/3)
 MAX_GRID_DT = 3.0 / 8.0          # Nyquist must exceed the 8pi/3 band edge
 INTERIOR_FRACTION = 0.8          # window used when quoting interior errors
+MAX_GRID_POINTS = 10_000_000     # budget for any grid sized from user input
 
 __all__ = [
     "CARRIER", "DEFAULT_CUTOFF", "MAX_GRID_DT", "INTERIOR_FRACTION",
-    "InvalidGrid", "GridTooCoarse", "GridMismatch",
+    "MAX_GRID_POINTS", "InvalidGrid", "GridTooCoarse", "GridMismatch",
     "SampledSignal", "ComplexSpectrumGrid",
-    "sample", "dft", "idft", "modulate", "lowpass", "hilbert",
+    "symmetric_grid", "sample", "require_fine_grid",
+    "dft", "idft", "modulate", "lowpass", "hilbert",
     "decompose_quadrature", "reconstruct_quadrature",
     "scale_from_wavelet", "envelope", "interior_slice",
 ]
@@ -91,12 +93,21 @@ class ComplexSpectrumGrid:
             raise InvalidGrid("bin/coefficient length mismatch")
 
 
+def symmetric_grid(span, dt):
+    """Point count n of the grid -span + k*dt, k < n, symmetric about 0:
+    the half-width span/dt is rounded to a whole number of steps."""
+    half = span / dt if span > 0 and dt > 0 else np.nan
+    # NaN and inf fail this comparison: neither may reach int()
+    n = 2 * int(round(half)) + 1 if half < MAX_GRID_POINTS else 0
+    if not 2 <= n <= MAX_GRID_POINTS:
+        raise InvalidGrid(f"grid span={span}, dt={dt} must be positive and "
+                          f"give 2 to {MAX_GRID_POINTS} points")
+    return n
+
+
 def sample(f, t0, dt, n):
     """Sample a function of time on a uniform grid of n points."""
-    if dt <= 0 or n < 2:
-        raise InvalidGrid(f"invalid grid: dt={dt}, n={n}")
-    t = t0 + dt * np.arange(n)
-    return SampledSignal(t0, dt, np.asarray(f(t), dtype=float))
+    return SampledSignal(t0, dt, f(t0 + dt * np.arange(n)))
 
 
 def dft(s):
@@ -147,7 +158,8 @@ def hilbert(s):
     return idft(g)
 
 
-def _require_fine_grid(s):
+def require_fine_grid(s):
+    """Raise GridTooCoarse unless s resolves the wavelet's 8pi/3 band edge."""
     if s.dt >= MAX_GRID_DT:
         raise GridTooCoarse(
             f"dt={s.dt} cannot represent the 8pi/3 band edge; need dt < 3/8")
@@ -159,7 +171,7 @@ def decompose_quadrature(psi_s, cutoff=DEFAULT_CUTOFF):
     The mixer halves the baseband amplitude, so the products are doubled
     before filtering; reconstruct_quadrature is then unit-gain.
     """
-    _require_fine_grid(psi_s)
+    require_fine_grid(psi_s)
     doubled = psi_s.replace_samples(2.0 * psi_s.samples)
     s_c = lowpass(modulate(doubled, CARRIER, "cosine"), cutoff)
     s_s = lowpass(modulate(doubled, CARRIER, "sine"), cutoff)
@@ -177,11 +189,8 @@ def reconstruct_quadrature(s_c, s_s):
 
 def scale_from_wavelet(psi_s):
     """Recover the scaling function from the wavelet and its Hilbert pair."""
-    _require_fine_grid(psi_s)
-    t = psi_s.times
-    out = (psi_s.samples * np.cos(CARRIER * t)
-           + hilbert(psi_s).samples * np.sin(CARRIER * t))
-    return psi_s.replace_samples(out)
+    require_fine_grid(psi_s)
+    return reconstruct_quadrature(psi_s, hilbert(psi_s))
 
 
 def envelope(s):

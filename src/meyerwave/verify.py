@@ -92,11 +92,6 @@ def decay_slope(t_range=DECAY_FIT_RANGE, samples_per_unit=512,
     return float(slope)
 
 
-def _norm_grid():
-    n = int(round((NORM_T_END - NORM_T_START) / NORM_DT)) + 1
-    return NORM_T_START + NORM_DT * np.arange(n)
-
-
 def _trapezoid(y, dx):
     return float(np.trapezoid(y, dx=dx))
 
@@ -183,7 +178,7 @@ def _closed_form_checks(quad_cfg):
                                - closed_form.psi(0.5 - u)))),
            1e-12)
 
-    grid = _norm_grid()
+    grid = export.grid_points(NORM_T_START, NORM_T_END, NORM_DT)
     ph = closed_form.phi(grid)
     ps = closed_form.psi(grid)
     yield ("phi_unit_integral", abs(_trapezoid(ph, NORM_DT) - 1.0), 1e-6)
@@ -228,8 +223,7 @@ def _oracle_checks(quad_cfg):
            1e-3)
 
 
-def _signal_checks(grid_dt, grid_span, cutoff):
-    n = 2 * int(round(grid_span / grid_dt)) + 1
+def _signal_checks(n, grid_dt, grid_span, cutoff):
     sig = signals.sample(closed_form.psi, -grid_span, grid_dt, n)
     t = sig.times
     inner = signals.interior_slice(n)
@@ -283,21 +277,24 @@ def run_verification(grid_dt=1.0 / 64.0, grid_span=16.0,
     """Run every library invariant and assemble a VerificationReport.
 
     grid_dt/grid_span/cutoff configure the discrete signal checks only;
-    spectral and closed-form checks use their own canonical grids.
+    spectral and closed-form checks use their own canonical grids.  An
+    invalid grid raises signals.InvalidGrid before any check runs; one too
+    coarse for the signal checks fails as a grid_precondition check.
     """
+    n = signals.symmetric_grid(grid_span, grid_dt)
     quad_cfg = QuadratureConfig(abs_tolerance=quad_tol)
     sections = [
         lambda: _spectral_checks(quad_cfg),
         lambda: _closed_form_checks(quad_cfg),
         lambda: _oracle_checks(quad_cfg),
-        lambda: _signal_checks(grid_dt, grid_span, cutoff),
+        lambda: _signal_checks(n, grid_dt, grid_span, cutoff),
         _export_checks,
     ]
     checks = []
     for section in sections:
         try:
             produced = list(section())
-        except (signals.GridTooCoarse, signals.InvalidGrid) as exc:
+        except signals.GridTooCoarse as exc:
             checks.append(Check(f"grid_precondition({exc})",
                                 float("inf"), 0.0, False))
             continue

@@ -70,6 +70,13 @@ class TestSingularPoints:
             (4.0 / (3.0 * np.pi), 8.0 / (3.0 * np.pi) + 4.0 / 3.0,
              4.0 / (3.0 * np.pi)), abs=1e-14)
 
+    def test_phi_zero_limit_is_exact_everywhere(self):
+        # the series path at the t = 0 root is the only source of phi(0)
+        exact = 2.0 / 3.0 + 4.0 / (3.0 * np.pi)
+        assert singular_points().phi_limits[1] == exact
+        assert phi(-0.0) == exact
+        assert np.all(phi(np.zeros((2, 3))) == exact)
+
     def test_limits_match_oracle(self):
         table = singular_points()
         for t, ref in zip(table.phi_singularities, table.phi_limits):

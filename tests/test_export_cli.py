@@ -51,6 +51,24 @@ class TestSeries:
         centre = 0.5 * (support[0] + support[-1])
         assert centre == pytest.approx(5.0 * np.pi / 3.0, abs=0.01)
 
+    def test_function_names_and_order(self):
+        # the order of FUNCTIONS is the order of the CLI's choices
+        assert export.FUNCTIONS == (
+            "phi", "psi", "psi1", "psi2",
+            "phi_spectrum", "psi_spectrum_magnitude",
+            "envelope", "s_c", "s_s", "phi_oracle", "psi_oracle")
+        assert export.SPECTRUM_FUNCTIONS == ("phi_spectrum",
+                                             "psi_spectrum_magnitude")
+
+    @pytest.mark.parametrize("name", export.FUNCTIONS)
+    def test_every_function_evaluates_with_its_axis_label(self, name):
+        label, axis, values = evaluate_series(
+            ExportRequest(name, -1.0, 1.0, 0.25))
+        assert label == export.SERIES[name][0]
+        assert label == ("w" if name in export.SPECTRUM_FUNCTIONS else "t")
+        assert axis.shape == values.shape == (9,)
+        assert np.all(np.isfinite(values))
+
     def test_csv_round_trip_exact(self):
         req = ExportRequest("psi", -3.0, 3.0, 0.07)
         label, axis, values = evaluate_series(req)
@@ -103,10 +121,28 @@ class TestCli:
         assert exc_info.value.code == 2
 
     def test_coarse_signal_grid_is_usage_error(self, tmp_path):
-        code = main(["sample", "--function", "s_c", "--from", "-8",
-                     "--to", "8", "--step", "0.5",
-                     "--output", str(tmp_path / "x.csv")])
-        assert code == 2
+        # every psi-sampled series would alias above dt = 3/8
+        for name in ("s_c", "s_s", "envelope"):
+            for step in ("0.5", "1"):
+                code = main(["sample", "--function", name, "--from", "-8",
+                             "--to", "8", "--step", step,
+                             "--output", str(tmp_path / "x.csv")])
+                assert code == 2, (name, step)
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    @pytest.mark.parametrize("grid", [
+        ["--grid-dt", "0"], ["--grid-dt", "nan"], ["--grid-span", "inf"],
+        ["--grid-dt", "-0.5"],
+        ["--grid-dt", "1e-9"]],     # rejected before anything is allocated
+        ids=["dt_zero", "dt_nan", "span_inf", "dt_negative", "over_budget"])
+    def test_bad_grid_is_usage_error(self, tmp_path, capsys, command, grid):
+        out = tmp_path / ("out" if command == "decompose" else "r.json")
+        assert main([command, "--output", str(out)] + grid) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: grid")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_decompose_writes_files(self, tmp_path):
         code = main(["decompose", "--output", str(tmp_path),

@@ -6,7 +6,8 @@ from meyerwave.signals import (GridMismatch, GridTooCoarse, InvalidGrid,
                                SampledSignal, decompose_quadrature, dft,
                                envelope, hilbert, idft, interior_slice,
                                lowpass, modulate, reconstruct_quadrature,
-                               sample, scale_from_wavelet)
+                               sample, scale_from_wavelet, symmetric_grid)
+from meyerwave.signals import MAX_GRID_POINTS
 
 
 def tone_grid(n=256, dt=1.0 / 32.0, t0=0.0):
@@ -48,6 +49,27 @@ class TestSample:
     def test_rejects_single_point(self):
         with pytest.raises(InvalidGrid):
             sample(closed_form.phi, 0.0, 1.0, 1)
+
+
+class TestSymmetricGrid:
+    @pytest.mark.parametrize("span, dt, n", [(16.0, 1.0 / 64.0, 2049),
+                                             (1.0, 0.3, 7), (1.0, 0.4, 5)])
+    def test_rounds_half_width_to_whole_steps(self, span, dt, n):
+        assert symmetric_grid(span, dt) == n == 2 * round(span / dt) + 1
+
+    def test_largest_grid_within_budget(self):
+        assert symmetric_grid(0.5 * (MAX_GRID_POINTS - 2), 1.0) \
+            == MAX_GRID_POINTS - 1
+
+    @pytest.mark.parametrize("span, dt", [
+        (16.0, 0.0), (16.0, -0.5), (16.0, np.nan), (16.0, np.inf),
+        (0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+        (0.1, 1.0),                           # one point
+        (0.5 * MAX_GRID_POINTS, 1.0),         # one point over the budget
+        (16.0, 1e-9), (1e300, 1e-300)])
+    def test_rejects(self, span, dt):
+        with pytest.raises(InvalidGrid):
+            symmetric_grid(span, dt)
 
 
 class TestDftIdft:
@@ -145,7 +167,7 @@ class TestDecomposition:
     span = 16.0
 
     def wavelet_signal(self):
-        n = 2 * int(round(self.span / self.dt)) + 1
+        n = symmetric_grid(self.span, self.dt)
         return sample(closed_form.psi, -self.span, self.dt, n)
 
     def test_round_trip_closure(self):
