@@ -15,8 +15,8 @@ cfg = QuadratureConfig(abs_tolerance=1e-10)
 
 t = np.concatenate([np.linspace(-8.0, 8.0, 801),
                     np.array(singular_points().all_points())])
-phi_err = np.abs(phi(t) - np.array([phi_oracle(v, cfg) for v in t]))
-psi_err = np.abs(psi(t) - np.array([psi_oracle(v, cfg) for v in t]))
+phi_err = np.abs(phi(t) - phi_oracle(t, cfg))
+psi_err = np.abs(psi(t) - psi_oracle(t, cfg))
 
 print(f"grid: {len(t)} points on [-8, 8] plus the 9 singular points")
 print(f"max |phi - phi_oracle| = {np.max(phi_err):.3e}")

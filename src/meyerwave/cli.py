@@ -1,7 +1,8 @@
 """Command-line front end: sample/export waveforms, verify, decompose.
 
 Exit codes: 0 success (and verification pass), 1 verification failure,
-2 usage error, 3 quadrature non-convergence.
+2 usage error (including an output that cannot be written and an oracle
+point beyond the quadrature node budget), 3 quadrature non-convergence.
 """
 
 import argparse
@@ -105,11 +106,7 @@ def _cmd_decompose(args):
               ("reconstruction_error", error)]
     for name, values in series:
         path = os.path.join(args.output, f"meyer_{name}.{args.format}")
-        try:
-            _write_series(path, args.format, name, "t", t, values)
-        except OSError as exc:
-            print(f"error: could not write {path}: {exc}", file=sys.stderr)
-            raise
+        _write_series(path, args.format, name, "t", t, values)
     interior = signals.interior_slice(n)
     print(f"wrote {len(series)} files to {args.output}; interior max "
           f"reconstruction error {float(np.max(np.abs(error[interior]))):.3e}")
@@ -126,7 +123,9 @@ def main(argv=None):
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ValueError as exc:    # every library usage error subclasses it
+    # every library usage error subclasses ValueError; an OSError is an
+    # output path that cannot be written
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -73,10 +73,10 @@ SERIES = {
         _psi_signal(t, step), cutoff)[0].samples),
     "s_s": ("t", lambda t, step, cutoff, _: signals.decompose_quadrature(
         _psi_signal(t, step), cutoff)[1].samples),
-    "phi_oracle": ("t", lambda t, step, cutoff, quad_cfg: np.array(
-        [quadrature.phi_oracle(tv, quad_cfg) for tv in t])),
-    "psi_oracle": ("t", lambda t, step, cutoff, quad_cfg: np.array(
-        [quadrature.psi_oracle(tv, quad_cfg) for tv in t])),
+    "phi_oracle": ("t", lambda t, step, cutoff, quad_cfg:
+                   quadrature.phi_oracle(t, quad_cfg)),
+    "psi_oracle": ("t", lambda t, step, cutoff, quad_cfg:
+                   quadrature.psi_oracle(t, quad_cfg)),
 }
 FUNCTIONS = tuple(SERIES)
 # functions evaluated against an angular-frequency axis

@@ -11,6 +11,21 @@ Both integrands are piecewise-smooth; each integral is split at the branch
 points of its integrand so that every quadrature panel sees a smooth
 function.  The scheme is composite Gauss-Legendre with a fixed node count
 per panel and panel-count doubling until two successive refinements agree.
+
+The oracles take an array of t and evaluate it as a batch.  Points are
+grouped by their initial panel count ceil(|x|), which resolves the
+cos(w x) oscillations.  Within a group each branch at each panel count has
+one node set w, so the spectrum times the weights, sw, is computed once
+per (branch, panel count) and each value is cos(x w) @ sw.  Every point keeps
+its own convergence: it leaves the active set at the first doubling that
+changes it by less than the tolerance, the same panel count it would reach
+on its own.
+
+Work is bounded by NODE_BUDGET nodes per panel evaluation (one branch at
+one panel count).  A point whose initial panel count already exceeds it is
+rejected with NodeBudgetExceeded, a ValueError; a doubling that would
+exceed it raises NoConvergence.  Both are raised before anything is
+allocated.
 """
 
 import math
@@ -21,8 +36,15 @@ from numpy.polynomial.legendre import leggauss
 
 from .spectral import SQRT_2PI, W_LO, W_MID, W_HI, scale_spectrum
 
-__all__ = ["QuadratureConfig", "NoConvergence", "integrate",
-           "phi_oracle", "psi_oracle"]
+__all__ = ["QuadratureConfig", "NoConvergence", "NodeBudgetExceeded",
+           "NODE_BUDGET", "integrate", "phi_oracle", "psi_oracle"]
+
+# Most quadrature nodes in one panel evaluation: 32 MiB per node array.
+# |t| = 1e3 starts at ~12,000 nodes per branch and may double eight times.
+NODE_BUDGET = 1 << 22
+
+# Most elements of one cos(x w) block, so a batch costs little memory.
+_COS_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -52,13 +74,60 @@ class NoConvergence(RuntimeError):
             f"last refinement change {achieved_error:.3e}")
 
 
-def _panel_sum(f, a, b, n_panels, nodes, weights):
+class NodeBudgetExceeded(ValueError):
+    """The initial panel count alone needs more than NODE_BUDGET nodes."""
+
+
+def _panel_nodes(a, b, n_panels, nodes):
+    """Nodes (n_panels, len(nodes)) of the composite rule on [a, b], and
+    the half-width of its panels."""
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[:-1] + edges[1:])
-    pts = mids[:, None] + half * nodes[None, :]
+    return mids[:, None] + half * nodes[None, :], half
+
+
+def _panel_sum(f, a, b, n_panels, nodes, weights):
+    pts, half = _panel_nodes(a, b, n_panels, nodes)
     vals = np.broadcast_to(np.asarray(f(pts), dtype=float), pts.shape)
     return half * float(np.sum(vals * weights[None, :]))
+
+
+def _refine(estimate, n, panels, cfg):
+    """Converge n estimates by panel doubling, each one on its own.
+
+    estimate(active, panels) returns the estimates of the points indexed
+    by `active` at that panel count.  A point is done at the first
+    doubling that changes it by less than cfg.abs_tolerance; if any point
+    is left after cfg.max_panel_doublings doublings, or a doubling would
+    exceed NODE_BUDGET, NoConvergence carries the latest estimate and
+    change of the worst of them.
+    """
+    out = np.empty(n)
+    active = np.arange(n)
+    prev = estimate(active, panels)
+    change = np.full(n, math.inf)
+    for _ in range(cfg.max_panel_doublings):
+        if 2 * panels * cfg.panel_nodes > NODE_BUDGET:
+            break
+        panels *= 2
+        cur = estimate(active, panels)
+        change = np.abs(cur - prev)
+        done = change < cfg.abs_tolerance
+        out[active[done]] = cur[done]
+        keep = ~done
+        active, prev, change = active[keep], cur[keep], change[keep]
+        if not active.size:
+            return out
+    worst = int(np.argmax(change))
+    raise NoConvergence(float(prev[worst]), float(change[worst]))
+
+
+def _check_budget(panels, cfg):
+    if panels * cfg.panel_nodes > NODE_BUDGET:
+        raise NodeBudgetExceeded(
+            f"quadrature needs {panels} panels of {cfg.panel_nodes} nodes, "
+            f"more than the budget of {NODE_BUDGET} nodes")
 
 
 def integrate(f, a, b, cfg=None, initial_panels=1):
@@ -74,36 +143,69 @@ def integrate(f, a, b, cfg=None, initial_panels=1):
         raise ValueError("integration bounds must satisfy a <= b")
     if a == b:
         return 0.0
-    nodes, weights = leggauss(cfg.panel_nodes)
     panels = max(1, int(initial_panels))
-    prev = _panel_sum(f, a, b, panels, nodes, weights)
-    change = math.inf
-    for _ in range(cfg.max_panel_doublings):
-        panels *= 2
-        cur = _panel_sum(f, a, b, panels, nodes, weights)
-        change = abs(cur - prev)
-        if change < cfg.abs_tolerance:
-            return cur
-        prev = cur
-    raise NoConvergence(prev, change)
+    _check_budget(panels, cfg)
+    nodes, weights = leggauss(cfg.panel_nodes)
+    return float(_refine(
+        lambda _, n: np.array([_panel_sum(f, a, b, n, nodes, weights)]),
+        1, panels, cfg)[0])
 
 
-def _branch_integral(f, branches, x, cfg):
-    """Sum of the integrals of f between consecutive branch points, each
-    starting from enough panels to resolve the cos(w x) oscillations."""
-    base = max(1, math.ceil(abs(x)))
-    return sum(integrate(f, lo, hi, cfg, base)
-               for lo, hi in zip(branches, branches[1:]))
+def _cos_sums(x, w, sw):
+    """cos(outer(x, w)) @ sw, in blocks of at most _COS_BLOCK elements."""
+    out = np.empty(x.size)
+    rows = max(1, _COS_BLOCK // w.size)
+    for i in range(0, x.size, rows):
+        block = np.multiply.outer(x[i:i + rows], w)
+        out[i:i + rows] = np.cos(block, out=block) @ sw
+    return out
+
+
+def _branch_integrals(spectrum, branches, x, cfg):
+    """Sum over branch panels of integral spectrum(w) cos(w x) dw for every
+    x, each starting from ceil(|x|) panels to resolve the oscillations.
+
+    Returns a float for a 0-d x and an array of x's shape otherwise.
+    """
+    cfg = cfg or QuadratureConfig()
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("t must be finite")
+    if not arr.size:
+        return np.zeros(arr.shape)
+    flat = arr.ravel()
+    base = np.maximum(1.0, np.ceil(np.abs(flat)))
+    _check_budget(int(base.max()), cfg)
+    nodes, weights = leggauss(cfg.panel_nodes)
+    out = np.zeros(flat.size)
+    order = np.argsort(base, kind="stable")
+    cuts = np.flatnonzero(np.diff(base[order])) + 1
+    for group in np.split(order, cuts):
+        xg = flat[group]
+        for lo, hi in zip(branches, branches[1:]):
+            def estimate(active, panels):
+                pts, half = _panel_nodes(lo, hi, panels, nodes)
+                sw = (spectrum(pts) * (half * weights)).ravel()
+                return _cos_sums(xg[active], pts.ravel(), sw)
+            out[group] += _refine(estimate, xg.size, int(base[group[0]]),
+                                  cfg)
+    out = out.reshape(arr.shape)
+    return out.item() if arr.ndim == 0 else out
+
+
+# The oracles look scale_spectrum up in this module's globals on each call,
+# so that a replaced module attribute takes effect.
+def _wavelet_integrand(w):
+    return scale_spectrum(0.5 * w) * scale_spectrum(w - 2.0 * np.pi)
 
 
 def phi_oracle(t, cfg=None):
-    """Scaling function by quadrature; split at the spectral branch point."""
-    t = float(t)
+    """Scaling function by quadrature; split at the spectral branch point.
 
-    def f(w):
-        return scale_spectrum(w) * np.cos(w * t)
-
-    return 2.0 / SQRT_2PI * _branch_integral(f, (0.0, W_LO, W_MID), t, cfg)
+    t may be a scalar, which returns a float, or an array of any shape.
+    """
+    return 2.0 / SQRT_2PI * _branch_integrals(
+        scale_spectrum, (0.0, W_LO, W_MID), t, cfg)
 
 
 def psi_oracle(t, cfg=None):
@@ -111,12 +213,9 @@ def psi_oracle(t, cfg=None):
 
     The integrand 2*Phi(w/2)*Phi(w - 2pi) equals 2/sqrt(2pi)*|Psi(w)| on
     the support band; the kernel cos(w (t - 1/2)) carries the half-sample
-    phase of the wavelet spectrum.
+    phase of the wavelet spectrum.  t may be a scalar, which returns a
+    float, or an array of any shape.
     """
-    x = float(t) - 0.5
-
-    def f(w):
-        return scale_spectrum(0.5 * w) * scale_spectrum(w - 2.0 * np.pi) \
-            * np.cos(w * x)
-
-    return 2.0 * _branch_integral(f, (W_LO, W_MID, 2.0 * np.pi, W_HI), x, cfg)
+    x = np.asarray(t, dtype=float) - 0.5
+    return 2.0 * _branch_integrals(
+        _wavelet_integrand, (W_LO, W_MID, 2.0 * np.pi, W_HI), x, cfg)

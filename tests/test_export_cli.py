@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from meyerwave import export
+from meyerwave import export, quadrature
 from meyerwave.cli import main
 from meyerwave.export import ExportRequest, InvalidRequest, evaluate_series
 from meyerwave.spectral import W_MID
@@ -143,6 +143,36 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("error: grid")
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["phi_oracle", "psi_oracle"])
+    def test_oracle_over_node_budget_is_usage_error(self, capsys, name):
+        # t = 1e9 would need 1e9 panels; rejected before any allocation
+        assert main(["sample", "--function", name, "--from", "0",
+                     "--to", "1e9", "--step", "1e6"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "budget" in lines[0]
+
+    def test_oracle_doubling_over_node_budget_exits_3(self, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr(quadrature, "NODE_BUDGET", 48)
+        assert main(["sample", "--function", "phi_oracle", "--from", "0",
+                     "--to", "3", "--step", "3"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--function", "phi", "--from", "0", "--to", "1",
+         "--step", "0.5", "--output"],
+        ["verify", "--output"],
+        ["decompose", "--grid-dt", "0.0625", "--grid-span", "4",
+         "--output"]], ids=["sample", "verify", "decompose"])
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(argv + [str(blocker / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_decompose_writes_files(self, tmp_path):
         code = main(["decompose", "--output", str(tmp_path),

@@ -1,8 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from meyerwave.quadrature import (NoConvergence, QuadratureConfig, integrate,
-                                  phi_oracle, psi_oracle)
+from meyerwave import closed_form, quadrature
+from meyerwave.quadrature import (NODE_BUDGET, NoConvergence,
+                                  NodeBudgetExceeded, QuadratureConfig,
+                                  integrate, phi_oracle, psi_oracle)
+from meyerwave.spectral import SQRT_2PI, W_HI, W_LO, W_MID, scale_spectrum
+from meyerwave.verify import ORACLE_COMPARE_TOL
+
+SINGULAR_POINTS = closed_form.singular_points().all_points()
+ORACLES = [(phi_oracle, closed_form.phi), (psi_oracle, closed_form.psi)]
 
 
 class TestConfig:
@@ -87,3 +97,110 @@ class TestOracles:
                                                           abs=1e-8)
             assert psi_oracle(t, coarse) == pytest.approx(psi_oracle(t, fine),
                                                           abs=1e-8)
+
+
+# A time: anywhere up to |t| = 1e3, or within 1e-4 of a singularity.
+times = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.builds(lambda s, h: s + h, st.sampled_from(SINGULAR_POINTS),
+              st.floats(-1e-4, 1e-4)))
+
+
+def scalar_oracle(name, t):
+    """Reference: one integrate() call per branch of one point."""
+    if name == "phi":
+        x, scale, branches = t, 2.0 / SQRT_2PI, (0.0, W_LO, W_MID)
+        spectrum = scale_spectrum
+    else:
+        x, scale = t - 0.5, 2.0
+        branches = (W_LO, W_MID, 2.0 * np.pi, W_HI)
+        def spectrum(w):
+            return scale_spectrum(0.5 * w) * scale_spectrum(w - 2.0 * np.pi)
+    base = max(1, math.ceil(abs(x)))
+    return scale * sum(
+        integrate(lambda w: spectrum(w) * np.cos(w * x), lo, hi, None, base)
+        for lo, hi in zip(branches, branches[1:]))
+
+
+class TestBatchedOracles:
+    def test_batch_matches_scalar_reference(self):
+        # the batch sums the same terms in another order
+        t = np.concatenate([np.linspace(-8.0, 8.0, 33), SINGULAR_POINTS,
+                            [30.0, -117.3, 1000.0]])
+        for name, oracle in (("phi", phi_oracle), ("psi", psi_oracle)):
+            batch = oracle(t)
+            for i, tv in enumerate(t):
+                assert abs(batch[i] - scalar_oracle(name, tv)) <= 1e-15, \
+                    (name, tv)
+
+    @given(st.lists(times, min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_closed_forms(self, ts):
+        t = np.array(ts)
+        for oracle, closed in ORACLES:
+            err = np.max(np.abs(oracle(t) - closed(t)))
+            assert err <= ORACLE_COMPARE_TOL, (oracle.__name__, ts)
+
+    def test_batch_element_equals_one_point_call(self):
+        t = np.concatenate([np.linspace(-8.0, 8.0, 41), SINGULAR_POINTS,
+                            [30.0, -117.3, 1000.0]])
+        for oracle, _ in ORACLES:
+            batch = oracle(t)
+            for i, tv in enumerate(t):
+                assert abs(batch[i] - oracle(tv)) <= 1e-15, (oracle, tv)
+
+    @pytest.mark.parametrize("oracle", [phi_oracle, psi_oracle])
+    @pytest.mark.parametrize("t", [np.array(0.7), np.linspace(-2, 2, 5),
+                                   np.linspace(-2, 2, 6).reshape(2, 3),
+                                   np.zeros(0), np.zeros((0, 3))],
+                             ids=["0d", "1d", "2d", "empty", "empty_2d"])
+    def test_shape_is_preserved(self, oracle, t):
+        assert np.shape(oracle(t)) == t.shape
+
+    def test_scalar_returns_float(self):
+        for oracle, closed in ORACLES:
+            value = oracle(1.3)
+            assert isinstance(value, float)
+            assert value == pytest.approx(closed(1.3), abs=1e-12)
+
+    def test_rejects_non_finite(self):
+        for oracle, _ in ORACLES:
+            with pytest.raises(ValueError):
+                oracle(np.array([0.0, np.nan]))
+            with pytest.raises(ValueError):
+                oracle(np.inf)
+
+    def test_batch_no_convergence(self):
+        # two nodes per panel cannot reach 1e-14 in one doubling
+        cfg = QuadratureConfig(abs_tolerance=1e-14, max_panel_doublings=1,
+                               panel_nodes=2)
+        for oracle, _ in ORACLES:
+            with pytest.raises(NoConvergence) as exc_info:
+                oracle(np.linspace(-8.0, 8.0, 9), cfg)
+            err = exc_info.value
+            assert isinstance(err.estimate, float)
+            assert np.isfinite(err.estimate)
+            assert err.achieved_error >= 1e-14
+
+
+class TestNodeBudget:
+    # Every input here is rejected before a node array is allocated.
+
+    def test_initial_panels_over_budget_is_value_error(self):
+        for oracle, _ in ORACLES:
+            with pytest.raises(NodeBudgetExceeded):
+                oracle(np.array([0.0, 1e9]))
+            with pytest.raises(ValueError):
+                oracle(-1e9)
+        with pytest.raises(NodeBudgetExceeded):
+            integrate(np.sin, 0.0, 1.0, initial_panels=NODE_BUDGET)
+
+    def test_doubling_over_budget_is_no_convergence(self, monkeypatch):
+        # t = 3 starts at 3 panels of 12 nodes; 72 nodes would exceed 48
+        monkeypatch.setattr(quadrature, "NODE_BUDGET", 48)
+        for oracle, _ in ORACLES:
+            with pytest.raises(NoConvergence) as exc_info:
+                oracle(np.array([0.0, 3.0]))
+            assert np.isfinite(exc_info.value.estimate)
+        with pytest.raises(NoConvergence):
+            integrate(np.sin, 0.0, 1.0, initial_panels=4)

@@ -61,6 +61,12 @@ class TestReport:
                      "quadrature_reconstruction_closure", "csv_round_trip"):
             assert by_name[name].passed, f"{name}: {by_name[name]}"
 
+    def test_scheme_independence_measures_a_difference(self, report):
+        # two different rules agree closely but not bit for bit
+        check = {c.name: c for c in report.checks}[
+            "quadrature_scheme_independence"]
+        assert 0.0 < check.value <= check.tolerance
+
     def test_tolerance_scale_applies(self, report):
         scaled = verify.run_verification(tolerance_scale=1e12)
         assert all(c.passed for c in scaled.checks)
