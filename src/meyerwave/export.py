@@ -3,7 +3,14 @@
 CSV files carry a header row and one ``abscissa,value`` record per line,
 printed with 17 significant digits so that re-parsing reproduces the
 binary doubles exactly.  JSON output is an object with ``grid`` metadata
-and parallel ``t``/``value`` arrays.
+and parallel ``t``/``value`` arrays, laid out as ``json.dump(...,
+indent=2)`` lays them out; ``grid.step`` is ``null`` for a one-point axis,
+which has no spacing.
+
+Both writers format ``_ROWS`` rows at a time and write each chunk with one
+call, so the per-row cost is the float-to-text conversion alone and a
+file is never held whole in memory.  The bytes are those a per-row loop
+(CSV) or ``json.dump(payload, stream, indent=2)`` (JSON) would write.
 """
 
 import json
@@ -91,22 +98,43 @@ def evaluate_series(req, cutoff=signals.DEFAULT_CUTOFF, quad_cfg=None):
     return label, t, evaluate(t, req.step, cutoff, quad_cfg)
 
 
+_ROWS = 1 << 15      # rows per formatted chunk and per stream.write
+_CSV_ROW = "%.17g,%.17g\n"
+
+
 def write_csv(stream, name, axis_label, axis, values):
     stream.write(f"{axis_label},{name}\n")
-    for a, v in zip(axis, values):
-        stream.write(f"{a:.17g},{v:.17g}\n")
+    n = min(len(axis), len(values))     # zip's length, as rows were paired
+    pairs = np.empty((min(n, _ROWS), 2))
+    for i in range(0, n, _ROWS):
+        k = min(_ROWS, n - i)
+        pairs[:k, 0] = axis[i:i + k]
+        pairs[:k, 1] = values[i:i + k]
+        # one C-level %-format for the whole chunk
+        stream.write(_CSV_ROW * k % tuple(pairs[:k].ravel().tolist()))
 
 
 def write_json(stream, name, axis_label, axis, values):
-    payload = {
+    step = float(axis[1] - axis[0]) if len(axis) > 1 else None
+    header = json.dumps({
         "function": name,
         "grid": {"axis": axis_label, "start": axis[0], "stop": axis[-1],
-                 "step": float(axis[1] - axis[0]), "count": len(axis)},
-        "t": list(map(float, axis)),
-        "value": list(map(float, values)),
-    }
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
+                 "step": step, "count": len(axis)},
+    }, indent=2)
+    stream.write(header[:-2])           # reopen the object: drop "\n}"
+    for key, data in (("t", axis), ("value", values)):
+        stream.write(f',\n  "{key}": [')
+        # json.dump(indent=2) runs the pure-Python encoder; the C encoder
+        # (indent=None) separates items by ", ", which no float, NaN or
+        # Infinity contains, so replacing it gives the indented layout
+        sep = "\n    "
+        for i in range(0, len(data), _ROWS):
+            chunk = np.asarray(data[i:i + _ROWS], dtype=float).tolist()
+            stream.write(sep + json.dumps(chunk)[1:-1].replace(
+                ", ", ",\n    "))
+            sep = ",\n    "
+        stream.write("\n  ]" if len(data) else "]")
+    stream.write("\n}\n")
 
 
 def parse_csv(text):

@@ -1,10 +1,13 @@
 import io
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from meyerwave import export, quadrature
+from meyerwave import closed_form, export, quadrature
 from meyerwave.cli import main
 from meyerwave.export import ExportRequest, InvalidRequest, evaluate_series
 from meyerwave.spectral import W_MID
@@ -80,6 +83,116 @@ class TestSeries:
         assert np.array_equal(values, values2)
 
 
+def reference_write_csv(stream, name, axis_label, axis, values):
+    """The per-row writer that export.write_csv must match byte for byte."""
+    stream.write(f"{axis_label},{name}\n")
+    for a, v in zip(axis, values):
+        stream.write(f"{a:.17g},{v:.17g}\n")
+
+
+def reference_write_json(stream, name, axis_label, axis, values):
+    """json.dump(indent=2) of the payload export.write_json lays out."""
+    step = float(axis[1] - axis[0]) if len(axis) > 1 else None
+    payload = {
+        "function": name,
+        "grid": {"axis": axis_label, "start": axis[0], "stop": axis[-1],
+                 "step": step, "count": len(axis)},
+        "t": list(map(float, axis)),
+        "value": list(map(float, values)),
+    }
+    json.dump(payload, stream, indent=2)
+    stream.write("\n")
+
+
+def written(writer, axis, values, name="psi", label="t"):
+    buf = io.StringIO()
+    with np.errstate(invalid="ignore", over="ignore"):
+        writer(buf, name, label, axis, values)
+    return buf.getvalue()
+
+
+def assert_same_bytes(writer, reference, axis, values):
+    got, want = written(writer, axis, values), written(reference, axis, values)
+    if got != want:     # pytest's own diff of multi-megabyte strings is slow
+        first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                     min(len(got), len(want)))
+        pytest.fail(f"first difference at character {first}: "
+                    f"{got[first:first + 40]!r} != {want[first:first + 40]!r}")
+
+
+EXTREMES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+            1.7976931348623157e308, -1.7976931348623157e308]
+finite_or_extreme = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                              st.sampled_from(EXTREMES))
+
+
+class TestWritersMatchReference:
+    @pytest.mark.parametrize("n", [0, 1, 2, export._ROWS - 1, export._ROWS,
+                                   export._ROWS + 1, 2 * export._ROWS + 1])
+    def test_csv_bytes(self, n):
+        t = export.grid_points(-20.0, 20.0, 40.0 / max(n, 1))[:n]
+        v = closed_form.psi(t)
+        assert_same_bytes(export.write_csv, reference_write_csv, t, v)
+
+    @pytest.mark.parametrize("n", [1, 2, export._ROWS - 1, export._ROWS,
+                                   export._ROWS + 1, 2 * export._ROWS + 1])
+    def test_json_bytes(self, n):
+        t = export.grid_points(-20.0, 20.0, 40.0 / max(n - 1, 1))[:n]
+        v = closed_form.psi(t)
+        assert_same_bytes(export.write_json, reference_write_json, t, v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.lists(st.tuples(finite_or_extreme, finite_or_extreme),
+                         min_size=1, max_size=40),
+           rows=st.integers(1, 8))
+    def test_extreme_floats_any_chunking(self, data, rows):
+        t, v = (np.array(column) for column in zip(*data))
+        with mock.patch.object(export, "_ROWS", rows):
+            for writer, reference in ((export.write_csv, reference_write_csv),
+                                      (export.write_json,
+                                       reference_write_json)):
+                assert_same_bytes(writer, reference, t, v)
+
+
+@st.composite
+def sample_argv(draw):
+    """A `sample` request with |t| <= 20 and at most 2,000 grid points."""
+    function = draw(st.sampled_from(export.FUNCTIONS))
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    start = draw(st.floats(-20.0, 20.0, exclude_max=True))
+    end = draw(st.floats(start, 20.0, exclude_min=True))
+    # steps from the 2,000-point limit up past the one-point width and
+    # the 3/8 limit of the psi-sampled series
+    step = draw(st.floats((end - start) / 1999.0, 50.0))
+    return function, fmt, start, end, step
+
+
+class TestSampleArgvProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(case=sample_argv())
+    @example(case=("envelope", "csv", -1.0, 1.0, 0.375))
+    @example(case=("psi_oracle", "json", -20.0, 20.0, 40.0 / 1999.0))
+    def test_exit_code_and_output(self, tmp_path_factory, case):
+        function, fmt, start, end, step = case
+        out = tmp_path_factory.mktemp("sample") / f"out.{fmt}"
+        code = main(["sample", "--function", function, "--format", fmt,
+                     f"--from={start!r}", f"--to={end!r}",
+                     f"--step={step!r}", "--output", str(out)])
+        assert code in (0, 2, 3)
+        if code != 0:
+            return
+        rows = len(export.grid_points(start, end, step))
+        assert rows <= 2000
+        if fmt == "csv":
+            header, axis, values = export.parse_csv(out.read_text())
+            assert header == f"{export.SERIES[function][0]},{function}"
+            assert len(axis) == len(values) == rows
+        else:
+            payload = json.loads(out.read_text())
+            assert payload["grid"]["count"] == rows
+            assert len(payload["t"]) == len(payload["value"]) == rows
+
+
 class TestCli:
     def test_sample_csv(self, tmp_path):
         out = tmp_path / "phi.csv"
@@ -109,6 +222,18 @@ class TestCli:
         _, _, values = export.parse_csv(out.read_text())
         assert values[0] == pytest.approx(2.0 / 3.0 + 4.0 / (3.0 * np.pi),
                                           abs=1e-9)
+
+    def test_sample_json_one_point(self, tmp_path):
+        out = tmp_path / "one.json"
+        code = main(["sample", "--function", "phi", "--from", "0",
+                     "--to", "0.5", "--step", "1", "--format", "json",
+                     "--output", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["grid"]["step"] is None
+        assert payload["grid"]["count"] == 1
+        assert payload["t"] == [0.0]
+        assert payload["value"] == [closed_form.phi(0.0)]
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["sample", "--function", "phi", "--from", "2",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meyerwave import closed_form
 from meyerwave.signals import (GridMismatch, GridTooCoarse, InvalidGrid,
@@ -156,6 +157,21 @@ class TestHilbert:
         x = make_tone(3, kind="sin")
         twice = hilbert(hilbert(x))
         assert np.max(np.abs(twice.samples + x.samples)) < 1e-10
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=257))
+    def test_involution_removes_dc_and_nyquist(self, parity, x):
+        # H[H[x]] = -(x - DC - Nyquist component); Marple, IEEE TSP 47(9),
+        # 1999.  Only an even length has a Nyquist bin.
+        x = np.array(x[:len(x) - (len(x) - parity) % 2])
+        n = x.size
+        expected = x - x.mean()
+        if n % 2 == 0:
+            alternating = (-1.0) ** np.arange(n)
+            expected -= np.mean(x * alternating) * alternating
+        twice = hilbert(hilbert(SampledSignal(0.0, 0.25, x))).samples
+        assert np.max(np.abs(twice + expected)) <= 1e-12
 
     def test_annihilates_dc(self):
         s = SampledSignal(0.0, 1.0, np.full(16, 2.5))
