@@ -1,8 +1,10 @@
 """Command-line front end: sample/export waveforms, verify, decompose.
 
 Exit codes: 0 success (and verification pass), 1 verification failure,
-2 usage error (including an output that cannot be written and an oracle
-point beyond the quadrature node budget), 3 quadrature non-convergence.
+2 usage error (including an output that cannot be written and a step too
+small for the DFT bins to be finite), 3 quadrature non-convergence.  The
+oracles take |x| >= 20 to the Filon rule, whose work does not grow with
+t, so an oracle point at any |t| up to ~2e307 is sampled.
 """
 
 import argparse

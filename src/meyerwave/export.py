@@ -43,8 +43,9 @@ class ExportRequest:
             raise InvalidRequest(f"unknown function {self.function!r}")
         if not (self.t_start < self.t_end):
             raise InvalidRequest("start must be below end")
-        if not self.step > 0:
-            raise InvalidRequest("step must be positive")
+        if not 0 < self.step < math.inf:
+            raise InvalidRequest(f"step must be positive and finite, got "
+                                 f"{self.step!r}")
         if (self.t_end - self.t_start) / self.step > signals.MAX_GRID_POINTS:
             raise InvalidRequest("export would exceed the point budget")
         if self.format not in ("csv", "json"):

@@ -8,43 +8,71 @@ direct numerical inversion of the compactly supported spectra:
                  cos(w (t - 1/2)) dw
 
 Both integrands are piecewise-smooth; each integral is split at the branch
-points of its integrand so that every quadrature panel sees a smooth
-function.  The scheme is composite Gauss-Legendre with a fixed node count
-per panel and panel-count doubling until two successive refinements agree.
+points of its integrand so that every rule sees a smooth function.  Two
+independent rule families share the work, chosen per point by
+x = t (phi) or x = t - 1/2 (psi):
 
-The oracles take an array of t and evaluate it as a batch.  Points are
-grouped by their initial panel count ceil(|x|), which resolves the
-cos(w x) oscillations.  Within a group each branch at each panel count has
-one node set w, so the spectrum times the weights, sw, is computed once
-per (branch, panel count) and each value is cos(x w) @ sw.  Every point keeps
-its own convergence: it leaves the active set at the first doubling that
-changes it by less than the tolerance, the same panel count it would reach
-on its own.
+|x| < FILON_FROM: composite Gauss-Legendre with a fixed node count per
+panel and panel-count doubling until two successive refinements agree.
+Points are grouped by their initial panel count ceil(|x|), which resolves
+the cos(w x) oscillations.  Within a group each branch at each panel count
+has one node set w, so the spectrum times the weights, sw, is computed once
+per (branch, panel count) and each value is cos(x w) @ sw.  Every point
+keeps its own convergence: it leaves the active set at the first doubling
+that changes it by less than the tolerance, the same panel count it would
+reach on its own.  Work is bounded by NODE_BUDGET nodes per panel
+evaluation (one branch at one panel count).  A point whose initial panel
+count already exceeds it is rejected with NodeBudgetExceeded, a
+ValueError; a doubling that would exceed it raises NoConvergence.  Both
+are raised before anything is allocated.
 
-Work is bounded by NODE_BUDGET nodes per panel evaluation (one branch at
-one panel count).  A point whose initial panel count already exceeds it is
-rejected with NodeBudgetExceeded, a ValueError; a doubling that would
-exceed it raises NoConvergence.  Both are raised before anything is
-allocated.
+|x| >= FILON_FROM: Filon-Legendre (Filon 1928; Iserles & Norsett 2005).
+Each branch [c - h, c + h] is sampled once per call at _FILON_NODES
+Gauss-Legendre nodes and projected onto Legendre coefficients a_k; that
+polynomial is integrated against e^{iwx} exactly,
+
+    integral f(w) cos(w x) dw = Re[h e^{i|x|c} sum_k a_k 2 i^k j_k(|x| h)],
+
+where |x| may stand for x because the cosine integral is even in x, and
+the spherical Bessel functions j_k come from upward recurrence.  The work
+per point does not depend on x, so no budget applies.  The recurrence
+amplifies round-off once the degree exceeds |x| h: with 16 nodes the rule
+still agrees with the closed forms to ~1e-15 down to |x| = 1, but is off
+by ~1e-11 at |x| = 0.5 and by ~1e3 below it.  The crossover at 20 keeps a
+wide margin, and above it the error (~1e-15) is below any configurable
+tolerance, so the configuration does not change the rule's values.
+
+Both families only sample scale_spectrum, never the closed forms.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 
 from .spectral import SQRT_2PI, W_LO, W_MID, W_HI, scale_spectrum
 
 __all__ = ["QuadratureConfig", "NoConvergence", "NodeBudgetExceeded",
-           "NODE_BUDGET", "integrate", "phi_oracle", "psi_oracle"]
+           "NODE_BUDGET", "FILON_FROM", "integrate", "phi_oracle",
+           "psi_oracle"]
 
 # Most quadrature nodes in one panel evaluation: 32 MiB per node array.
-# |t| = 1e3 starts at ~12,000 nodes per branch and may double eight times.
+# A Gauss-Legendre oracle point starts at no more than 20 panels of 12
+# nodes, so only a doubling that fails to converge can reach it.
 NODE_BUDGET = 1 << 22
 
-# Most elements of one cos(x w) block, so a batch costs little memory.
+# Most elements of one cos(x w) block, so a batch costs little memory; also
+# the most points in one block of the Filon rule.
 _COS_BLOCK = 1 << 15
+
+# Oracle points with |x| at or above this use the Filon rule, the rest
+# Gauss-Legendre.
+FILON_FROM = 20.0
+
+# Nodes per branch of the Filon rule.  The spectra's Legendre coefficients
+# fall to round-off by degree ~13, and each further one only adds noise.
+_FILON_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -161,27 +189,18 @@ def _cos_sums(x, w, sw):
     return out
 
 
-def _branch_integrals(spectrum, branches, x, cfg):
-    """Sum over branch panels of integral spectrum(w) cos(w x) dw for every
-    x, each starting from ceil(|x|) panels to resolve the oscillations.
-
-    Returns a float for a 0-d x and an array of x's shape otherwise.
-    """
-    cfg = cfg or QuadratureConfig()
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("t must be finite")
-    if not arr.size:
-        return np.zeros(arr.shape)
-    flat = arr.ravel()
-    base = np.maximum(1.0, np.ceil(np.abs(flat)))
+def _gauss_legendre_integrals(spectrum, branches, x, cfg):
+    """Sum over branch panels of integral spectrum(w) cos(w x) dw for a
+    1-D x, each point starting from ceil(|x|) panels to resolve the
+    oscillations."""
+    base = np.maximum(1.0, np.ceil(np.abs(x)))
     _check_budget(int(base.max()), cfg)
     nodes, weights = leggauss(cfg.panel_nodes)
-    out = np.zeros(flat.size)
+    out = np.zeros(x.size)
     order = np.argsort(base, kind="stable")
     cuts = np.flatnonzero(np.diff(base[order])) + 1
     for group in np.split(order, cuts):
-        xg = flat[group]
+        xg = x[group]
         for lo, hi in zip(branches, branches[1:]):
             def estimate(active, panels):
                 pts, half = _panel_nodes(lo, hi, panels, nodes)
@@ -189,6 +208,63 @@ def _branch_integrals(spectrum, branches, x, cfg):
                 return _cos_sums(xg[active], pts.ravel(), sw)
             out[group] += _refine(estimate, xg.size, int(base[group[0]]),
                                   cfg)
+    return out
+
+
+def _bessel_sums(z, coef):
+    """sum_k coef[k] i^k j_k(z) for z > 0 as (real, imaginary) parts, with
+    j_k by upward recurrence, which is stable while k stays below z."""
+    signed = coef * np.array([1.0, 1.0, -1.0, -1.0])[np.arange(coef.size) % 4]
+    sin, cos = np.sin(z), np.cos(z)
+    prev = sin / z                      # j_0
+    cur = (prev - cos) / z              # j_1, without squaring a large z
+    parts = [signed[0] * prev, signed[1] * cur]
+    for k in range(1, coef.size - 1):
+        prev, cur = cur, (2 * k + 1) / z * cur - prev
+        parts[(k + 1) % 2] += signed[k + 1] * cur
+    return parts
+
+
+def _filon_integrals(spectrum, branches, x):
+    """Sum over branches of integral spectrum(w) cos(w x) dw for a 1-D x,
+    by the Filon-Legendre rule, in blocks of at most _COS_BLOCK points."""
+    ax = np.abs(x)
+    limit = np.finfo(float).max / branches[-1]     # so that c |x| is finite
+    if ax.max() > limit:
+        raise ValueError(f"t must be below {limit:.3g} in magnitude")
+    u, weights = leggauss(_FILON_NODES)
+    project = (np.arange(_FILON_NODES) + 0.5)[:, None] * (
+        legvander(u, _FILON_NODES - 1).T * weights)
+    out = np.zeros(x.size)
+    for lo, hi in zip(branches, branches[1:]):
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        coef = project @ spectrum(c + h * u)
+        for i in range(0, x.size, _COS_BLOCK):
+            xb = ax[i:i + _COS_BLOCK]
+            re, im = _bessel_sums(h * xb, coef)
+            out[i:i + _COS_BLOCK] += 2.0 * h * (np.cos(c * xb) * re
+                                                - np.sin(c * xb) * im)
+    return out
+
+
+def _branch_integrals(spectrum, branches, x, cfg):
+    """Sum over branches of integral spectrum(w) cos(w x) dw for every x:
+    Filon-Legendre where |x| >= FILON_FROM, Gauss-Legendre elsewhere.
+
+    Returns a float for a 0-d x and an array of x's shape otherwise.
+    """
+    cfg = cfg or QuadratureConfig()
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("t must be finite")
+    flat = arr.ravel()
+    out = np.zeros(flat.size)
+    far = np.abs(flat) >= FILON_FROM
+    if far.any():
+        out[far] = _filon_integrals(spectrum, branches, flat[far])
+    if not far.all():
+        out[~far] = _gauss_legendre_integrals(spectrum, branches, flat[~far],
+                                              cfg)
     out = out.reshape(arr.shape)
     return out.item() if arr.ndim == 0 else out
 

@@ -112,7 +112,13 @@ def sample(f, t0, dt, n):
 
 def dft(s):
     n = s.samples.size
-    freqs = 2.0 * np.pi * np.fft.fftfreq(n, s.dt)
+    # a step so small that 1/(n*dt) overflows gives infinite bins and a NaN
+    # DC bin (0 * inf); no filter or multiplier means anything on them
+    with np.errstate(over="ignore", invalid="ignore"):
+        freqs = 2.0 * np.pi * np.fft.fftfreq(n, s.dt)
+    if not np.all(np.isfinite(freqs)):
+        raise InvalidGrid(f"dt={s.dt} is too small: the DFT bin "
+                          f"frequencies are not finite")
     return ComplexSpectrumGrid(freqs, np.fft.fft(s.samples), s.t0, s.dt)
 
 
@@ -146,14 +152,13 @@ def lowpass(s, cutoff):
 def hilbert(s):
     """Discrete Hilbert transform via the +/-90 degree DFT multiplier.
 
-    Positive-frequency bins are rotated by -j, negative by +j; the DC bin
-    and (for even lengths) the Nyquist bin are zeroed.
+    Positive-frequency bins are rotated by -j, negative by +j, and the DC
+    bin is zeroed.  For even lengths the Nyquist bin, which fftfreq counts
+    as negative, becomes purely imaginary; idft keeps only the real part,
+    so it drops out.
     """
     g = dft(s)
     mult = -1j * np.sign(g.bin_frequencies)
-    n = s.samples.size
-    if n % 2 == 0:
-        mult[n // 2] = 0.0
     g.coefficients = g.coefficients * mult
     return idft(g)
 

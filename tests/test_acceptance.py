@@ -49,10 +49,8 @@ class TestCriterion1OracleAgreement:
         table = closed_form.singular_points()
         t = np.concatenate([np.linspace(-8.0, 8.0, 4001),
                             np.array(table.all_points())])
-        phi_err = np.max(np.abs(closed_form.phi(t)
-                                - np.array([phi_oracle(v, QUAD) for v in t])))
-        psi_err = np.max(np.abs(closed_form.psi(t)
-                                - np.array([psi_oracle(v, QUAD) for v in t])))
+        phi_err = np.max(np.abs(closed_form.phi(t) - phi_oracle(t, QUAD)))
+        psi_err = np.max(np.abs(closed_form.psi(t) - psi_oracle(t, QUAD)))
         gate("1a_phi_vs_oracle", float(phi_err), 1e-8)
         gate("1b_psi_vs_oracle", float(psi_err), 1e-8)
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from meyerwave import closed_form, export, quadrature
 from meyerwave.cli import main
 from meyerwave.export import ExportRequest, InvalidRequest, evaluate_series
 from meyerwave.spectral import W_MID
+from meyerwave.verify import ORACLE_COMPARE_TOL
 
 
 class TestExportRequest:
@@ -25,6 +27,11 @@ class TestExportRequest:
     def test_rejects_bad_step(self):
         with pytest.raises(InvalidRequest):
             ExportRequest("phi", 0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("step", [math.inf, math.nan])
+    def test_rejects_non_finite_step(self, step):
+        with pytest.raises(InvalidRequest, match="step"):
+            ExportRequest("phi", 0.0, 1.0, step)
 
     def test_rejects_unknown_function(self):
         with pytest.raises(InvalidRequest):
@@ -172,12 +179,18 @@ class TestSampleArgvProperty:
     @given(case=sample_argv())
     @example(case=("envelope", "csv", -1.0, 1.0, 0.375))
     @example(case=("psi_oracle", "json", -20.0, 20.0, 40.0 / 1999.0))
+    @example(case=("s_c", "csv", 0.0, 1e-310, 1e-312))
+    @example(case=("phi", "csv", 0.0, 1.0, math.inf))
     def test_exit_code_and_output(self, tmp_path_factory, case):
         function, fmt, start, end, step = case
         out = tmp_path_factory.mktemp("sample") / f"out.{fmt}"
-        code = main(["sample", "--function", function, "--format", fmt,
-                     f"--from={start!r}", f"--to={end!r}",
-                     f"--step={step!r}", "--output", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sample", "--function", function, "--format", fmt,
+                         f"--from={start!r}", f"--to={end!r}",
+                         f"--step={step!r}", "--output", str(out)])
+        assert not [w for w in caught if w.category is RuntimeWarning], \
+            [str(w.message) for w in caught]
         assert code in (0, 2, 3)
         if code != 0:
             return
@@ -270,13 +283,29 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["phi_oracle", "psi_oracle"])
-    def test_oracle_over_node_budget_is_usage_error(self, capsys, name):
-        # t = 1e9 would need 1e9 panels; rejected before any allocation
+    def test_oracle_at_huge_t_exits_0(self, capsys, name):
+        # |t| up to 1e9 takes the Filon rule, whose work does not grow
+        # with t, so no node budget stops it
         assert main(["sample", "--function", name, "--from", "0",
-                     "--to", "1e9", "--step", "1e6"]) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "budget" in lines[0]
+                     "--to", "1e9", "--step", "1e6"]) == 0
+        header, axis, values = export.parse_csv(capsys.readouterr().out)
+        assert header == f"t,{name}"
+        assert np.array_equal(axis, export.grid_points(0.0, 1e9, 1e6))
+        closed = getattr(closed_form, name[:-len("_oracle")])
+        assert np.max(np.abs(values - closed(axis))) <= ORACLE_COMPARE_TOL
+
+    @pytest.mark.parametrize("name", ["s_c", "s_s"])
+    def test_subnormal_step_is_usage_error(self, capsys, name):
+        # 1/(n*dt) overflows: the DFT bins would be infinite and NaN
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sample", "--function", name, "--from", "0",
+                         "--to", "1e-310", "--step", "1e-312"]) == 2
+        assert not caught, [str(w.message) for w in caught]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "not finite" in lines[0]
 
     def test_oracle_doubling_over_node_budget_exits_3(self, capsys,
                                                       monkeypatch):

@@ -123,8 +123,10 @@ def scalar_oracle(name, t):
 
 
 class TestBatchedOracles:
-    def test_batch_matches_scalar_reference(self):
-        # the batch sums the same terms in another order
+    def test_batch_matches_scalar_reference(self, monkeypatch):
+        # the batch sums the same terms in another order; every point takes
+        # the Gauss-Legendre path, as the reference does
+        monkeypatch.setattr(quadrature, "FILON_FROM", math.inf)
         t = np.concatenate([np.linspace(-8.0, 8.0, 33), SINGULAR_POINTS,
                             [30.0, -117.3, 1000.0]])
         for name, oracle in (("phi", phi_oracle), ("psi", psi_oracle)):
@@ -184,16 +186,23 @@ class TestBatchedOracles:
 
 
 class TestNodeBudget:
-    # Every input here is rejected before a node array is allocated.
+    # Every over-budget input here is rejected before a node array is
+    # allocated.
 
-    def test_initial_panels_over_budget_is_value_error(self):
-        for oracle, _ in ORACLES:
-            with pytest.raises(NodeBudgetExceeded):
-                oracle(np.array([0.0, 1e9]))
-            with pytest.raises(ValueError):
-                oracle(-1e9)
+    def test_initial_panels_over_budget_is_value_error(self, monkeypatch):
         with pytest.raises(NodeBudgetExceeded):
             integrate(np.sin, 0.0, 1.0, initial_panels=NODE_BUDGET)
+        # the oracles take |t| = 1e9 to the Filon rule, whose work does not
+        # depend on t, so no budget applies there
+        t = np.array([0.0, 1e9, -1e9])
+        for oracle, closed in ORACLES:
+            assert np.max(np.abs(oracle(t) - closed(t))) <= ORACLE_COMPARE_TOL
+            assert abs(oracle(-1e9) - closed(-1e9)) <= ORACLE_COMPARE_TOL
+        # the Gauss-Legendre path keeps its budget
+        monkeypatch.setattr(quadrature, "FILON_FROM", math.inf)
+        for oracle, _ in ORACLES:
+            with pytest.raises(NodeBudgetExceeded):
+                oracle(t)
 
     def test_doubling_over_budget_is_no_convergence(self, monkeypatch):
         # t = 3 starts at 3 panels of 12 nodes; 72 nodes would exceed 48
@@ -204,3 +213,80 @@ class TestNodeBudget:
             assert np.isfinite(exc_info.value.estimate)
         with pytest.raises(NoConvergence):
             integrate(np.sin, 0.0, 1.0, initial_panels=4)
+
+
+def far_points(lo, hi, n, seed):
+    """n values of |x| in [lo, hi], log-uniform, with both signs."""
+    rng = np.random.default_rng(seed)
+    x = np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+    return np.concatenate([[lo, hi], x, -x, [-lo, -hi]])
+
+
+class TestFilon:
+    # x = t for phi and t - 1/2 for psi; |x| >= FILON_FROM takes the rule
+    SHIFTS = [(phi_oracle, closed_form.phi, 0.0),
+              (psi_oracle, closed_form.psi, 0.5)]
+
+    @pytest.fixture
+    def spectrum_sizes(self, monkeypatch):
+        """Sizes of the arrays the oracles pass to scale_spectrum."""
+        sizes = []
+        def counting(w):
+            sizes.append(np.size(w))
+            return scale_spectrum(w)
+        monkeypatch.setattr(quadrature, "scale_spectrum", counting)
+        return sizes
+
+    def test_crossover_at_twenty(self, spectrum_sizes):
+        # the Filon rule samples every branch once at _FILON_NODES nodes;
+        # Gauss-Legendre starts at 20 panels of 12 nodes
+        for oracle, _, shift in self.SHIFTS:
+            for x, filon in ((20.0 - 1e-9, False), (20.0, True),
+                             (-20.0 + 1e-9, False), (-20.0, True)):
+                spectrum_sizes.clear()
+                oracle(x + shift)
+                if filon:
+                    assert set(spectrum_sizes) == {quadrature._FILON_NODES}
+                else:
+                    assert min(spectrum_sizes) >= 20 * 12
+
+    @pytest.mark.parametrize("lo, hi", [(20.0, 1e3), (1e3, 1e9)])
+    def test_matches_closed_forms(self, lo, hi):
+        x = far_points(lo, hi, 2000, seed=6)
+        for oracle, closed, shift in self.SHIFTS:
+            err = np.max(np.abs(oracle(x + shift) - closed(x + shift)))
+            assert err <= 1e-14, (oracle.__name__, err)
+
+    def test_matches_gauss_legendre_on_overlap(self, monkeypatch):
+        x = far_points(20.0, 60.0, 200, seed=7)
+        filon = [oracle(x + shift) for oracle, _, shift in self.SHIFTS]
+        monkeypatch.setattr(quadrature, "FILON_FROM", math.inf)
+        for (oracle, _, shift), value in zip(self.SHIFTS, filon):
+            err = np.max(np.abs(value - oracle(x + shift)))
+            assert err <= 1e-12, (oracle.__name__, err)
+
+    def test_batch_element_equals_one_point_call(self, monkeypatch):
+        # exactly, even beside Gauss-Legendre points in the same batch and
+        # across block boundaries
+        monkeypatch.setattr(quadrature, "_COS_BLOCK", 7)
+        x = far_points(20.0, 1e9, 30, seed=8)
+        for oracle, _, shift in self.SHIFTS:
+            t = x + shift
+            batch = oracle(np.concatenate([np.linspace(-8.0, 8.0, 17), t]))
+            for value, tv in zip(batch[17:], t):
+                assert value == oracle(tv), (oracle.__name__, tv)
+
+    def test_work_does_not_depend_on_t(self, spectrum_sizes):
+        for oracle, _, shift in self.SHIFTS:
+            counts = []
+            for t in (25.0 + shift, 1e3, np.linspace(1e6, 1e9, 1000)):
+                spectrum_sizes.clear()
+                oracle(t)
+                counts.append(sum(spectrum_sizes))
+            assert counts[0] == counts[1] == counts[2] > 0, counts
+
+    def test_rejects_t_whose_phase_would_overflow(self):
+        for oracle, _, _ in self.SHIFTS:
+            with pytest.raises(ValueError, match="magnitude"):
+                oracle(np.array([0.0, 1.7e308]))
+            assert abs(oracle(1e300)) <= 1e-290

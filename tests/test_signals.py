@@ -100,6 +100,13 @@ class TestDftIdft:
         rhs = np.sum(s.samples**2)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
+    @pytest.mark.parametrize("dt", [1e-312, 5e-324, 1e-308])
+    def test_rejects_step_with_non_finite_bins(self, dt):
+        # 1/(n*dt) or the largest bin overflows
+        with np.errstate(all="raise"):
+            with pytest.raises(InvalidGrid, match="not finite"):
+                dft(SampledSignal(0.0, dt, np.ones(101)))
+
     def test_bin_layout(self):
         s = SampledSignal(0.0, 0.5, np.zeros(8))
         g = dft(s)
@@ -176,6 +183,13 @@ class TestHilbert:
     def test_annihilates_dc(self):
         s = SampledSignal(0.0, 1.0, np.full(16, 2.5))
         assert np.max(np.abs(hilbert(s).samples)) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 16, 256])
+    def test_annihilates_nyquist(self, n):
+        # all of (-1)^k sits in the Nyquist bin, which the multiplier turns
+        # imaginary and idft's real part drops
+        s = SampledSignal(0.0, 0.25, (-1.0) ** np.arange(n))
+        assert np.max(np.abs(hilbert(s).samples)) <= 1e-15
 
 
 class TestDecomposition:
