@@ -7,6 +7,12 @@ wavelet is reconstructed at unit gain:
 
     psi(t) = s_c(t) cos(2pi t) + s_s(t) sin(2pi t)
 
+The low-pass mask is real and even in frequency, so it maps the real and
+imaginary parts of a complex input separately, and both components come
+from one complex baseband, one fft/ifft pair:
+
+    s_c(t) - j s_s(t) = LP[2 psi(t) exp(-j 2pi t)]
+
 The Hilbert-transform variant of the same idea recovers the scaling
 function directly:
 
@@ -15,9 +21,15 @@ function directly:
 Filtering and the Hilbert transform are realised as ideal (brick-wall)
 multipliers on DFT bins, so results are periodic-convolution accurate:
 grids should span the waveform until its tails are negligible.
+
+A SampledSignal holds a read-only copy of its samples and cannot be
+reassigned, so its Hilbert transform is computed at most once and cached
+on it: scale_from_wavelet and envelope of one signal share one pair of
+transforms.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,8 +43,8 @@ __all__ = [
     "CARRIER", "DEFAULT_CUTOFF", "MAX_GRID_DT", "INTERIOR_FRACTION",
     "MAX_GRID_POINTS", "InvalidGrid", "GridTooCoarse", "GridMismatch",
     "SampledSignal", "ComplexSpectrumGrid",
-    "symmetric_grid", "sample", "require_fine_grid",
-    "dft", "idft", "modulate", "lowpass", "hilbert",
+    "symmetric_grid", "sample", "require_fine_grid", "require_cutoff",
+    "dft", "idft", "lowpass", "hilbert",
     "decompose_quadrature", "reconstruct_quadrature",
     "scale_from_wavelet", "envelope", "interior_slice",
 ]
@@ -50,16 +62,22 @@ class GridMismatch(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampledSignal:
-    """Uniformly sampled real waveform; sample k sits at t0 + k*dt."""
+    """Uniformly sampled real waveform; sample k sits at t0 + k*dt.
+
+    The samples are a read-only copy of the array passed in, so a cached
+    Hilbert transform always belongs to them.
+    """
 
     t0: float
     dt: float
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
+        samples = np.array(self.samples, dtype=float)
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
         if self.dt <= 0:
             raise InvalidGrid("dt must be positive")
         if self.samples.ndim != 1 or self.samples.size < 2:
@@ -77,6 +95,13 @@ class SampledSignal:
 
     def replace_samples(self, samples):
         return SampledSignal(self.t0, self.dt, samples)
+
+    @cached_property
+    def _hilbert(self):
+        """hilbert(self), computed on first use."""
+        g = dft(self)
+        g.coefficients = g.coefficients * (-1j * np.sign(g.bin_frequencies))
+        return idft(g)
 
 
 @dataclass
@@ -110,16 +135,21 @@ def sample(f, t0, dt, n):
     return SampledSignal(t0, dt, f(t0 + dt * np.arange(n)))
 
 
-def dft(s):
-    n = s.samples.size
+def _bin_frequencies(s):
+    """Signed angular frequencies of the DFT bins of s, rad/unit time."""
     # a step so small that 1/(n*dt) overflows gives infinite bins and a NaN
     # DC bin (0 * inf); no filter or multiplier means anything on them
     with np.errstate(over="ignore", invalid="ignore"):
-        freqs = 2.0 * np.pi * np.fft.fftfreq(n, s.dt)
+        freqs = 2.0 * np.pi * np.fft.fftfreq(s.samples.size, s.dt)
     if not np.all(np.isfinite(freqs)):
         raise InvalidGrid(f"dt={s.dt} is too small: the DFT bin "
                           f"frequencies are not finite")
-    return ComplexSpectrumGrid(freqs, np.fft.fft(s.samples), s.t0, s.dt)
+    return freqs
+
+
+def dft(s):
+    return ComplexSpectrumGrid(_bin_frequencies(s), np.fft.fft(s.samples),
+                               s.t0, s.dt)
 
 
 def idft(g):
@@ -128,21 +158,19 @@ def idft(g):
     return SampledSignal(g.t0, g.dt, np.fft.ifft(g.coefficients).real)
 
 
-def modulate(s, carrier, phase):
-    """Multiply by cos or sin of carrier*t at the true grid abscissas."""
-    if phase == "cosine":
-        wave = np.cos(carrier * s.times)
-    elif phase == "sine":
-        wave = np.sin(carrier * s.times)
-    else:
-        raise ValueError(f"phase must be 'cosine' or 'sine', got {phase!r}")
-    return s.replace_samples(s.samples * wave)
+def require_cutoff(cutoff):
+    """Raise ValueError unless the low-pass cutoff is positive and finite.
+
+    A NaN cutoff would mask no bin (|w| > nan is false) and an infinite
+    one masks none by construction: either would disable the filter.
+    """
+    if not 0.0 < cutoff < np.inf:
+        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
 
 
 def lowpass(s, cutoff):
     """Ideal brick-wall low-pass: zero every DFT bin beyond the cutoff."""
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
+    require_cutoff(cutoff)
     g = dft(s)
     g.coefficients = np.where(np.abs(g.bin_frequencies) > cutoff,
                               0.0, g.coefficients)
@@ -155,12 +183,10 @@ def hilbert(s):
     Positive-frequency bins are rotated by -j, negative by +j, and the DC
     bin is zeroed.  For even lengths the Nyquist bin, which fftfreq counts
     as negative, becomes purely imaginary; idft keeps only the real part,
-    so it drops out.
+    so it drops out.  The result is cached on s: a second call on the
+    same signal returns it without a transform.
     """
-    g = dft(s)
-    mult = -1j * np.sign(g.bin_frequencies)
-    g.coefficients = g.coefficients * mult
-    return idft(g)
+    return s._hilbert
 
 
 def require_fine_grid(s):
@@ -173,14 +199,24 @@ def require_fine_grid(s):
 def decompose_quadrature(psi_s, cutoff=DEFAULT_CUTOFF):
     """Split the band-pass wavelet into baseband in-phase/quadrature parts.
 
-    The mixer halves the baseband amplitude, so the products are doubled
-    before filtering; reconstruct_quadrature is then unit-gain.
+    The mixer halves the baseband amplitude, so the product is doubled
+    before filtering; reconstruct_quadrature is then unit-gain.  Both
+    components come from one low-passed complex baseband,
+    s_c - j s_s = LP[2 psi exp(-j w0 t)], at the true grid abscissas.
     """
     require_fine_grid(psi_s)
-    doubled = psi_s.replace_samples(2.0 * psi_s.samples)
-    s_c = lowpass(modulate(doubled, CARRIER, "cosine"), cutoff)
-    s_s = lowpass(modulate(doubled, CARRIER, "sine"), cutoff)
-    return s_c, s_s
+    require_cutoff(cutoff)
+    beyond = np.abs(_bin_frequencies(psi_s)) > cutoff
+    angle = CARRIER * psi_s.times
+    mixed = np.empty(angle.size, dtype=complex)
+    mixed.real = np.cos(angle)
+    mixed.imag = -np.sin(angle)
+    mixed *= 2.0 * psi_s.samples
+    coefficients = np.fft.fft(mixed)
+    coefficients[beyond] = 0.0
+    baseband = np.fft.ifft(coefficients)
+    return (psi_s.replace_samples(baseband.real),
+            psi_s.replace_samples(-baseband.imag))
 
 
 def reconstruct_quadrature(s_c, s_s):

@@ -275,10 +275,12 @@ def run_verification(grid_dt=1.0 / 64.0, grid_span=16.0,
 
     grid_dt/grid_span/cutoff configure the discrete signal checks only;
     spectral and closed-form checks use their own canonical grids.  An
-    invalid grid raises signals.InvalidGrid before any check runs; one too
-    coarse for the signal checks fails as a grid_precondition check.
+    invalid grid raises signals.InvalidGrid, and a cutoff that is not
+    positive and finite raises ValueError, before any check runs; a grid
+    too coarse for the signal checks fails as a grid_precondition check.
     """
     n = signals.symmetric_grid(grid_span, grid_dt)
+    signals.require_cutoff(cutoff)
     quad_cfg = QuadratureConfig(abs_tolerance=quad_tol)
     sections = [
         lambda: _spectral_checks(quad_cfg),

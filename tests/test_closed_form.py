@@ -156,6 +156,45 @@ class TestEvaluation:
             assert np.isfinite(v)
             assert abs(v) < 1.0 / t  # far below the near-field scale
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("f", [phi, psi, psi1, psi2],
+                             ids=["phi", "psi", "psi1", "psi2"])
+    def test_finite_and_bounded_up_to_float_max(self, f):
+        # y**3, p*y and q*y overflow on the way up to the largest float
+        rng = np.random.default_rng(11)
+        mag = 10.0 ** rng.uniform(2.0, np.log10(1.79e308), 4000)
+        t = np.concatenate([mag * rng.choice([-1.0, 1.0], mag.size),
+                            [1.79e308, -1.79e308, np.finfo(float).max]])
+        v = f(t)
+        assert np.all(np.isfinite(v))
+        assert np.all(np.abs(v) <= 1.0 / np.abs(t))
+
+    @pytest.mark.parametrize("form", [closed_form._PHI, closed_form._PSI1,
+                                      closed_form._PSI2],
+                             ids=["phi", "psi1", "psi2"])
+    def test_far_form_is_the_same_ratio(self, form):
+        # _far_eval only runs beyond |y| ~ 5.6e102; where both forms are
+        # accurate they agree to the phase round-off of q*y
+        y = np.geomspace(20.0, 1e3, 500)
+        y = np.concatenate([y, -y])
+        near = ((form.p * y * np.cos(form.q * y) + form.r * np.sin(form.s * y))
+                / (form.d1 * y + form.d3 * y**3))
+        assert np.max(np.abs(form._far_eval(y) - near) * y * y) <= 1e-10
+
+    def test_unchanged_where_the_cube_is_finite(self):
+        rng = np.random.default_rng(12)
+        t = 10.0 ** rng.uniform(-3.0, 102.3, 4000) * rng.choice([-1.0, 1.0],
+                                                               4000)
+        for form in (closed_form._PHI, closed_form._PSI1, closed_form._PSI2):
+            y = t - form.center
+            expected = ((form.p * y * np.cos(form.q * y)
+                         + form.r * np.sin(form.s * y))
+                        / (form.d1 * y + form.d3 * y**3))
+            far_from_roots = np.all([np.abs(y - y0) >= GUARD_RADIUS
+                                     for y0 in form.roots], axis=0)
+            assert np.array_equal(form(t)[far_from_roots],
+                                  expected[far_from_roots])
+
     def test_tail_bound_at_20(self):
         # tail envelope bound with the empirically fitted constant; the
         # leading tail term decays as t^-2

@@ -163,14 +163,17 @@ class TestWritersMatchReference:
 
 @st.composite
 def sample_argv(draw):
-    """A `sample` request with |t| <= 20 and at most 2,000 grid points."""
+    """A `sample` request with |t| <= 20 or <= 1e300 and at most 2,000
+    grid points."""
     function = draw(st.sampled_from(export.FUNCTIONS))
     fmt = draw(st.sampled_from(["csv", "json"]))
-    start = draw(st.floats(-20.0, 20.0, exclude_max=True))
-    end = draw(st.floats(start, 20.0, exclude_min=True))
+    bound = draw(st.sampled_from([20.0, 1e300]))
+    start = draw(st.floats(-bound, bound, exclude_max=True))
+    end = draw(st.floats(start, bound, exclude_min=True))
     # steps from the 2,000-point limit up past the one-point width and
     # the 3/8 limit of the psi-sampled series
-    step = draw(st.floats((end - start) / 1999.0, 50.0))
+    step = draw(st.floats((end - start) / 1999.0,
+                          max(50.0, 2.0 * (end - start))))
     return function, fmt, start, end, step
 
 
@@ -181,6 +184,7 @@ class TestSampleArgvProperty:
     @example(case=("psi_oracle", "json", -20.0, 20.0, 40.0 / 1999.0))
     @example(case=("s_c", "csv", 0.0, 1e-310, 1e-312))
     @example(case=("phi", "csv", 0.0, 1.0, math.inf))
+    @example(case=("phi", "csv", 1e300, 2e300, 2.5e299))
     def test_exit_code_and_output(self, tmp_path_factory, case):
         function, fmt, start, end, step = case
         out = tmp_path_factory.mktemp("sample") / f"out.{fmt}"
@@ -279,6 +283,23 @@ class TestCli:
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: grid")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cutoff", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--grid-dt", "0.0625", "--grid-span", "4"],
+        ["verify"],
+        ["sample", "--function", "s_c", "--from", "-4", "--to", "4",
+         "--step", "0.0625"]], ids=["decompose", "verify", "sample_s_c"])
+    def test_bad_cutoff_is_usage_error(self, tmp_path, capsys, argv, cutoff):
+        # a NaN cutoff used to disable the filter: exit 0 with unfiltered
+        # output, or exit 1 from verify as if a check had failed
+        out = tmp_path / "out"
+        assert main(argv + ["--output", str(out), f"--cutoff={cutoff}"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cutoff")
         assert captured.out == ""
         assert not out.exists()
 

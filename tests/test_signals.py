@@ -6,9 +6,11 @@ from meyerwave import closed_form
 from meyerwave.signals import (GridMismatch, GridTooCoarse, InvalidGrid,
                                SampledSignal, decompose_quadrature, dft,
                                envelope, hilbert, idft, interior_slice,
-                               lowpass, modulate, reconstruct_quadrature,
-                               sample, scale_from_wavelet, symmetric_grid)
-from meyerwave.signals import MAX_GRID_POINTS
+                               lowpass, reconstruct_quadrature, sample,
+                               scale_from_wavelet, symmetric_grid)
+from meyerwave.signals import CARRIER, DEFAULT_CUTOFF, MAX_GRID_POINTS
+
+BAD_CUTOFFS = [np.nan, np.inf, 0.0, -1.0]
 
 
 def tone_grid(n=256, dt=1.0 / 32.0, t0=0.0):
@@ -114,29 +116,6 @@ class TestDftIdft:
             2.0 * np.pi * np.fft.fftfreq(8, 0.5))
 
 
-class TestModulate:
-    def test_cosine_at_integer_abscissas(self):
-        s = SampledSignal(0.0, 1.0, np.ones(8))
-        out = modulate(s, 2.0 * np.pi, "cosine")
-        assert out.samples == pytest.approx(np.ones(8), abs=1e-12)
-
-    def test_zero_carrier(self):
-        s = SampledSignal(0.3, 0.1, np.arange(2.0, 10.0))
-        assert modulate(s, 0.0, "cosine").samples == pytest.approx(s.samples)
-        assert modulate(s, 0.0, "sine").samples == pytest.approx(
-            np.zeros(8), abs=1e-15)
-
-    def test_uses_true_abscissas(self):
-        s = SampledSignal(0.25, 1.0, np.ones(4))
-        out = modulate(s, 2.0 * np.pi, "cosine")
-        assert out.samples == pytest.approx(np.zeros(4), abs=1e-12)
-
-    def test_rejects_unknown_phase(self):
-        s = SampledSignal(0.0, 1.0, np.ones(4))
-        with pytest.raises(ValueError):
-            modulate(s, 1.0, "tangent")
-
-
 class TestLowpass:
     def test_in_band_tone_unchanged(self):
         s = make_tone(4, kind="sin")  # 4 cycles over 8 time units: w = pi
@@ -152,6 +131,13 @@ class TestLowpass:
         s = sample(closed_form.psi, -4.0, 1.0 / 32.0, 256)
         out = lowpass(s, np.pi / s.dt)
         assert np.max(np.abs(out.samples - s.samples)) < 1e-12
+
+    @pytest.mark.parametrize("cutoff", BAD_CUTOFFS)
+    def test_rejects_cutoff_not_positive_and_finite(self, cutoff):
+        # a NaN cutoff would mask no bin and leave the signal unfiltered
+        s = make_tone(24, kind="sin")
+        with pytest.raises(ValueError, match="cutoff"):
+            lowpass(s, cutoff)
 
 
 class TestHilbert:
@@ -190,6 +176,89 @@ class TestHilbert:
         # imaginary and idft's real part drops
         s = SampledSignal(0.0, 0.25, (-1.0) ** np.arange(n))
         assert np.max(np.abs(hilbert(s).samples)) <= 1e-15
+
+
+def reference_decompose(psi_s, cutoff):
+    """Decomposition by two real low-passes, one per carrier phase."""
+    doubled = 2.0 * psi_s.samples
+    t = psi_s.times
+    s_c = lowpass(psi_s.replace_samples(doubled * np.cos(CARRIER * t)), cutoff)
+    s_s = lowpass(psi_s.replace_samples(doubled * np.sin(CARRIER * t)), cutoff)
+    return s_c, s_s
+
+
+class TestDecomposeMatchesTwoLowpasses:
+    dt = 1.0 / 64.0
+
+    # t0 is a quarter carrier period plus a fraction of dt off the grid
+    # k*dt, so a mixer that ignored t0 would be off by O(1); pi/dt is the
+    # Nyquist frequency, whose bin only an even n has
+    @pytest.mark.parametrize("n, cutoff", [
+        (2049, DEFAULT_CUTOFF), (2048, DEFAULT_CUTOFF),
+        (2048, np.pi * 64.0), (2049, 3.0 * np.pi)],
+        ids=["odd", "even", "even_nyquist", "odd_wide"])
+    def test_within_1e_15(self, n, cutoff):
+        sig = sample(closed_form.psi, -15.75 + 0.37 * self.dt, self.dt, n)
+        s_c, s_s = decompose_quadrature(sig, cutoff)
+        ref_c, ref_s = reference_decompose(sig, cutoff)
+        assert np.max(np.abs(s_c.samples - ref_c.samples)) <= 1e-15
+        assert np.max(np.abs(s_s.samples - ref_s.samples)) <= 1e-15
+        for out in (s_c, s_s):
+            assert (out.t0, out.dt) == (sig.t0, sig.dt)
+
+    @pytest.mark.parametrize("cutoff", BAD_CUTOFFS)
+    def test_rejects_cutoff_not_positive_and_finite(self, cutoff):
+        sig = sample(closed_form.psi, -4.0, self.dt, 513)
+        with pytest.raises(ValueError, match="cutoff"):
+            decompose_quadrature(sig, cutoff)
+
+
+class TestHilbertCache:
+    def wavelet_signal(self):
+        return sample(closed_form.psi, -8.0, 1.0 / 64.0, 1025)
+
+    def test_samples_are_read_only(self):
+        sig = self.wavelet_signal()
+        with pytest.raises(ValueError):
+            sig.samples[0] = 1.0
+
+    def test_samples_are_a_copy(self):
+        data = closed_form.psi(-8.0 + np.arange(1025) / 64.0)
+        sig = SampledSignal(-8.0, 1.0 / 64.0, data)
+        original = data.copy()
+        first = hilbert(sig).samples.copy()
+        data[:] = 0.0
+        assert np.array_equal(sig.samples, original)
+        assert np.array_equal(hilbert(sig).samples, first)
+        assert np.array_equal(
+            first, hilbert(SampledSignal(-8.0, 1.0 / 64.0, original)).samples)
+
+    def test_cached_result_is_bit_identical_to_uncached(self):
+        sig = self.wavelet_signal()
+        first, second = hilbert(sig), hilbert(sig)
+        assert np.array_equal(first.samples, second.samples)
+        fresh = hilbert(sig.replace_samples(sig.samples))
+        assert np.array_equal(first.samples, fresh.samples)
+        g = dft(sig)
+        g.coefficients = g.coefficients * (-1j * np.sign(g.bin_frequencies))
+        assert np.array_equal(first.samples, idft(g).samples)
+
+    def test_scale_and_envelope_share_one_forward_transform(self,
+                                                            monkeypatch):
+        sig = self.wavelet_signal()
+        calls = []
+        fft = np.fft.fft
+
+        def counting_fft(*args, **kwargs):
+            calls.append(1)
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counting_fft)
+        scale_from_wavelet(sig)
+        envelope(sig)
+        assert len(calls) == 1
+        decompose_quadrature(sig)
+        assert len(calls) == 2
 
 
 class TestDecomposition:
