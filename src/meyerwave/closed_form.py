@@ -11,16 +11,17 @@ the mantissa within ~1e-8 of a root, so inside a guard radius the ratio is
 evaluated from the Taylor expansions of numerator and denominator about
 the root, with the common factor of h = y - root cancelled analytically.
 
-Far out, where d3*y**3 overflows (|y| above ~5.6e102), the ratio is
-evaluated divided through by y**3,
+Everywhere else the ratio is evaluated divided through by y, with its
+phases reduced,
 
-    [ (p*cos(q*y) + r*sin(s*y)/y) / y / y ] / [ d1/y/y + d3 ],
+    [ p*cos(q*ph) + r*sin(s*ph)/y ] / [ d1 + d3*y*y ],   ph = fmod(y, 3).
 
-in which nothing overflows; it can only underflow towards 0, where the
-true value lies.  Every q and s is a multiple of 2pi/3, so cos(q*y) and
-sin(s*y) have period 3 in y; their phases are taken from fmod(y, 3), which
-is exact, rather than from q*y, which overflows near the top of the float
-range.
+Every q and s is a multiple of 2pi/3, so cos(q*y) and sin(s*y) have period
+3 in y, and fmod(y, 3) is exact.  The phases therefore carry round-off of
+~1e-16 at any |y|; taken from q*y they would carry ~1e-16*|y|, and q*y
+overflows near the top of the float range.  Nothing else can overflow:
+|ph| < 3, |y| >= GUARD_RADIUS, and y*y overflowing to inf gives 0, the
+true limit.
 
 Limits at the roots follow from L'Hopital's rule and are computed here as
 N'(root)/D'(root) rather than frozen as decimals:
@@ -85,25 +86,16 @@ class _RationalForm:
         d_val = den[0] + den[1] * h + den[2] * h * h
         return n_val / d_val
 
-    def _far_eval(self, y):
-        """The ratio divided through by y**3, for |y| where y**3 overflows."""
-        phase = np.fmod(y, _PHASE_PERIOD)
-        num = (self.p * np.cos(self.q * phase)
-               + self.r * np.sin(self.s * phase) / y) / y / y
-        return num / (self.d1 / y / y + self.d3)
-
     def __call__(self, t):
         y = np.asarray(t, dtype=float) - self.center
         if not np.all(np.isfinite(y)):
             raise ValueError("t must be finite")
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            num = self.p * y * np.cos(self.q * y) + self.r * np.sin(self.s * y)
-            den = self.d1 * y + self.d3 * y**3
-            out = np.atleast_1d(num / den)
         flat_y = np.atleast_1d(y)
-        if not np.all(np.isfinite(den)):
-            far = ~np.isfinite(np.atleast_1d(den))
-            out[far] = self._far_eval(flat_y[far])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            phase = np.fmod(flat_y, _PHASE_PERIOD)
+            out = self.r * np.sin(self.s * phase) / flat_y
+            out += self.p * np.cos(self.q * phase)
+            out /= self.d1 + self.d3 * flat_y * flat_y
         for y0 in self.roots:
             mask = np.abs(flat_y - y0) < GUARD_RADIUS
             if mask.any():

@@ -78,21 +78,18 @@ _FILON_NODES = 16
 @dataclass(frozen=True)
 class QuadratureConfig:
     abs_tolerance: float = 1e-10
-    max_panel_doublings: int = 20
     panel_nodes: int = 12
 
     def __post_init__(self):
         if not self.abs_tolerance >= 1e-14:
             raise ValueError("abs_tolerance below 1e-14 is not resolvable "
                              "in double precision")
-        if not 1 <= self.max_panel_doublings <= 30:
-            raise ValueError("max_panel_doublings must be in [1, 30]")
         if self.panel_nodes < 1:
             raise ValueError("panel_nodes must be positive")
 
 
 class NoConvergence(RuntimeError):
-    """Panel doubling budget exhausted before the tolerance was met."""
+    """Panel doubling reached NODE_BUDGET before the tolerance was met."""
 
     def __init__(self, estimate, achieved_error):
         self.estimate = estimate
@@ -127,17 +124,14 @@ def _refine(estimate, n, panels, cfg):
     estimate(active, panels) returns the estimates of the points indexed
     by `active` at that panel count.  A point is done at the first
     doubling that changes it by less than cfg.abs_tolerance; if any point
-    is left after cfg.max_panel_doublings doublings, or a doubling would
-    exceed NODE_BUDGET, NoConvergence carries the latest estimate and
-    change of the worst of them.
+    is left when a further doubling would exceed NODE_BUDGET, NoConvergence
+    carries the latest estimate and change of the worst of them.
     """
     out = np.empty(n)
     active = np.arange(n)
     prev = estimate(active, panels)
     change = np.full(n, math.inf)
-    for _ in range(cfg.max_panel_doublings):
-        if 2 * panels * cfg.panel_nodes > NODE_BUDGET:
-            break
+    while 2 * panels * cfg.panel_nodes <= NODE_BUDGET:
         panels *= 2
         cur = estimate(active, panels)
         change = np.abs(cur - prev)

@@ -240,7 +240,7 @@ def envelope(s):
     return s.replace_samples(np.sqrt(s.samples**2 + h**2))
 
 
-def interior_slice(n, fraction=INTERIOR_FRACTION):
+def interior_slice(n):
     """Index slice excluding the DFT wrap-around margins at both ends."""
-    margin = int(round(0.5 * (1.0 - fraction) * n))
+    margin = int(round(0.5 * (1.0 - INTERIOR_FRACTION) * n))
     return slice(margin, n - margin)

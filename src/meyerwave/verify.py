@@ -31,7 +31,10 @@ NORM_T_START, NORM_T_END, NORM_DT = -40.0, 41.0, 1.0 / 256.0
 # Bound on |f(s) - f(s +/- h)| / h near removable singularities.
 CONTINUITY_SLOPE_BOUND = 50.0
 
+# decay_slope's fit: samples per unit of t, and a block of one period.
 DECAY_FIT_RANGE = (5.0, 50.0)
+DECAY_SAMPLES_PER_UNIT = 512
+DECAY_BLOCK_WIDTH = 1.5
 
 __all__ = ["Check", "VerificationReport", "run_verification", "decay_slope",
            "DEFAULT_QUAD_TOL", "ORACLE_COMPARE_TOL"]
@@ -75,16 +78,16 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def decay_slope(t_range=DECAY_FIT_RANGE, samples_per_unit=512,
-                block_width=1.5):
+def decay_slope():
     """Log-log slope of the wavelet's local envelope over the far tail.
 
     The local envelope is taken as block maxima of |psi| over windows one
     oscillation period wide.
     """
-    t = np.arange(t_range[0], t_range[1], 1.0 / samples_per_unit)
+    t = np.arange(DECAY_FIT_RANGE[0], DECAY_FIT_RANGE[1],
+                  1.0 / DECAY_SAMPLES_PER_UNIT)
     mag = np.abs(closed_form.psi(t))
-    w = int(round(block_width * samples_per_unit))
+    w = int(round(DECAY_BLOCK_WIDTH * DECAY_SAMPLES_PER_UNIT))
     n_blocks = mag.size // w
     centers = t[:n_blocks * w].reshape(n_blocks, w).mean(axis=1)
     maxima = mag[:n_blocks * w].reshape(n_blocks, w).max(axis=1)
@@ -269,8 +272,7 @@ def _export_checks():
 
 
 def run_verification(grid_dt=1.0 / 64.0, grid_span=16.0,
-                     cutoff=signals.DEFAULT_CUTOFF, tolerance_scale=1.0,
-                     quad_tol=DEFAULT_QUAD_TOL):
+                     cutoff=signals.DEFAULT_CUTOFF, tolerance_scale=1.0):
     """Run every library invariant and assemble a VerificationReport.
 
     grid_dt/grid_span/cutoff configure the discrete signal checks only;
@@ -281,7 +283,7 @@ def run_verification(grid_dt=1.0 / 64.0, grid_span=16.0,
     """
     n = signals.symmetric_grid(grid_span, grid_dt)
     signals.require_cutoff(cutoff)
-    quad_cfg = QuadratureConfig(abs_tolerance=quad_tol)
+    quad_cfg = QuadratureConfig(abs_tolerance=DEFAULT_QUAD_TOL)
     sections = [
         lambda: _spectral_checks(quad_cfg),
         lambda: _closed_form_checks(quad_cfg),
@@ -304,7 +306,7 @@ def run_verification(grid_dt=1.0 / 64.0, grid_span=16.0,
     description = (f"signal grid t in [{-grid_span}, {grid_span}], "
                    f"dt={grid_dt}, cutoff={cutoff}; normalization grid "
                    f"t in [{NORM_T_START}, {NORM_T_END}], dt={NORM_DT}; "
-                   f"quadrature tolerance {quad_tol}")
+                   f"quadrature tolerance {DEFAULT_QUAD_TOL}")
     return VerificationReport(
         checks=tuple(checks),
         grid_description=description,

@@ -173,27 +173,61 @@ class TestEvaluation:
                                       closed_form._PSI2],
                              ids=["phi", "psi1", "psi2"])
     def test_far_form_is_the_same_ratio(self, form):
-        # _far_eval only runs beyond |y| ~ 5.6e102; where both forms are
-        # accurate they agree to the phase round-off of q*y
-        y = np.geomspace(20.0, 1e3, 500)
-        y = np.concatenate([y, -y])
-        near = ((form.p * y * np.cos(form.q * y) + form.r * np.sin(form.s * y))
-                / (form.d1 * y + form.d3 * y**3))
-        assert np.max(np.abs(form._far_eval(y) - near) * y * y) <= 1e-10
-
-    def test_unchanged_where_the_cube_is_finite(self):
+        # the phase-reduced ratio against the ratio as written, where both
+        # are accurate: in the tail they differ by the phase round-off of
+        # q*y; next to a root each loses up to ~5e-13 to cancellation, so
+        # the two may differ by twice that
+        tail = np.geomspace(20.0, 1e3, 500)
+        tail = np.concatenate([tail, -tail])
         rng = np.random.default_rng(12)
-        t = 10.0 ** rng.uniform(-3.0, 102.3, 4000) * rng.choice([-1.0, 1.0],
-                                                               4000)
-        for form in (closed_form._PHI, closed_form._PSI1, closed_form._PSI2):
-            y = t - form.center
-            expected = ((form.p * y * np.cos(form.q * y)
-                         + form.r * np.sin(form.s * y))
-                        / (form.d1 * y + form.d3 * y**3))
-            far_from_roots = np.all([np.abs(y - y0) >= GUARD_RADIUS
-                                     for y0 in form.roots], axis=0)
-            assert np.array_equal(form(t)[far_from_roots],
-                                  expected[far_from_roots])
+        h = np.geomspace(GUARD_RADIUS, 1.0, 200)
+        near = np.concatenate(
+            [10.0 ** rng.uniform(-4.0, 3.0, 4000) * rng.choice([-1.0, 1.0],
+                                                              4000)]
+            + [y0 + sgn * h for y0 in form.roots for sgn in (-1.0, 1.0)])
+        near = near[np.all([np.abs(near - y0) >= GUARD_RADIUS
+                            for y0 in form.roots], axis=0)]
+        for y, bound in ((tail, 1e-10 / tail**2), (near, 1e-12)):
+            written = ((form.p * y * np.cos(form.q * y)
+                        + form.r * np.sin(form.s * y))
+                       / (form.d1 * y + form.d3 * y**3))
+            assert np.all(np.abs(form(y + form.center) - written) <= bound)
+
+    # phi, psi1 and psi2 at float t, from the forms with exact multiples of
+    # 2pi/3 evaluated at the float y = t - center in 400-digit arithmetic
+    # (mpmath), then frozen
+    FAR_REFERENCES = {
+        1e6: (1.1936605225773680785e-13, -1.1936617162380105951e-13,
+              5.9683124577246458307e-14),
+        -1e6: (1.1936605225773680785e-13, 2.3873217590574170172e-13,
+               -1.1936608795282049334e-13),
+        1e10: (1.1936620730341537664e-21, -1.1936620731535199737e-21,
+               5.9683103661552529983e-22),
+        -1e10: (1.1936620730341537664e-21, 2.3873241461396976219e-21,
+                -1.193662073069848811e-21),
+        1e15: (1.1936620731892134677e-31, -1.1936620731892146613e-31,
+               5.9683103659460771831e-32),
+        -1e15: (1.1936620731892134677e-31, 2.3873241463784276492e-31,
+                -1.1936620731892138246e-31),
+        1e50: (1.1936620731892148361e-101, 1.1936620731892148361e-101,
+               5.9683103659460741806e-102),
+        -1e50: (1.1936620731892148361e-101, 1.1936620731892148361e-101,
+                5.9683103659460741806e-102),
+        1e99: (-2.3873241463784301925e-199, -2.3873241463784301925e-199,
+               -1.1936620731892150962e-199),
+        -1e99: (-2.3873241463784301925e-199, -2.3873241463784301925e-199,
+                -1.1936620731892150962e-199),
+        1e120: (-2.387324146378430132e-241, -2.387324146378430132e-241,
+                -1.193662073189215066e-241),
+        -1e120: (-2.387324146378430132e-241, -2.387324146378430132e-241,
+                 -1.193662073189215066e-241),
+    }
+
+    @pytest.mark.parametrize("t", sorted(FAR_REFERENCES), ids="{:g}".format)
+    def test_far_tail_matches_high_precision(self, t):
+        refs = np.array(self.FAR_REFERENCES[t])
+        got = np.array([phi(t), psi1(t), psi2(t)])
+        assert np.all(np.abs(got - refs) <= 1e-14 * np.abs(refs))
 
     def test_tail_bound_at_20(self):
         # tail envelope bound with the empirically fitted constant; the
