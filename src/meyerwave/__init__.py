@@ -13,8 +13,7 @@ Public surface:
 """
 
 from .closed_form import phi, psi, psi1, psi2, singular_points
-from .quadrature import (NoConvergence, QuadratureConfig, integrate,
-                         phi_oracle, psi_oracle)
+from .quadrature import phi_oracle, psi_oracle
 from .signals import (SampledSignal, decompose_quadrature, envelope, hilbert,
                       lowpass, reconstruct_quadrature, sample,
                       scale_from_wavelet)

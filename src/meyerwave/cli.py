@@ -2,9 +2,8 @@
 
 Exit codes: 0 success (and verification pass), 1 verification failure,
 2 usage error (including an output that cannot be written and a step too
-small for the DFT bins to be finite), 3 quadrature non-convergence.  The
-oracles take |x| >= 20 to the Filon rule, whose work does not grow with
-t, so an oracle point at any |t| up to ~2e307 is sampled.
+small for the DFT bins to be finite).  The oracles do fixed work per
+point, so an oracle point at any |t| up to ~2e307 is sampled.
 """
 
 import argparse
@@ -14,12 +13,10 @@ import sys
 import numpy as np
 
 from . import closed_form, export, signals, verify
-from .quadrature import NoConvergence, QuadratureConfig
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-EXIT_NO_CONVERGENCE = 3
 
 
 def build_parser():
@@ -39,7 +36,6 @@ def build_parser():
                           help="output path (default stdout)")
     p_sample.add_argument("--cutoff", type=float,
                           default=signals.DEFAULT_CUTOFF)
-    p_sample.add_argument("--tolerance-scale", type=float, default=1.0)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--grid-dt", type=float, default=1.0 / 64.0)
@@ -74,10 +70,7 @@ def _write_series(path, fmt, name, label, axis, values):
 def _cmd_sample(args):
     req = export.ExportRequest(args.function, args.t_start, args.t_end,
                                args.step, args.format)
-    quad_cfg = QuadratureConfig(
-        abs_tolerance=verify.DEFAULT_QUAD_TOL * args.tolerance_scale)
-    label, axis, values = export.evaluate_series(req, cutoff=args.cutoff,
-                                                 quad_cfg=quad_cfg)
+    label, axis, values = export.evaluate_series(req, cutoff=args.cutoff)
     _write_series(args.output, args.format, args.function, label, axis, values)
     return EXIT_OK
 
@@ -122,9 +115,6 @@ def main(argv=None):
                 "decompose": _cmd_decompose}
     try:
         return handlers[args.command](args)
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     # every library usage error subclasses ValueError; an OSError is an
     # output path that cannot be written
     except (ValueError, OSError) as exc:

@@ -64,7 +64,7 @@ def _psi_signal(t, step):
     return sig
 
 
-# name -> (axis label, evaluator(t, step, cutoff, quad_cfg)), in the CLI's
+# name -> (axis label, evaluator(t, step, cutoff)), in the CLI's
 # choices order.  Evaluators look library functions up through their
 # module on each call, so that a replaced module attribute takes effect.
 SERIES = {
@@ -77,14 +77,12 @@ SERIES = {
         ("w", lambda t, *_: spectral.wavelet_spectrum_magnitude(t)),
     "envelope": ("t", lambda t, step, *_:
                  signals.envelope(_psi_signal(t, step)).samples),
-    "s_c": ("t", lambda t, step, cutoff, _: signals.decompose_quadrature(
+    "s_c": ("t", lambda t, step, cutoff: signals.decompose_quadrature(
         _psi_signal(t, step), cutoff)[0].samples),
-    "s_s": ("t", lambda t, step, cutoff, _: signals.decompose_quadrature(
+    "s_s": ("t", lambda t, step, cutoff: signals.decompose_quadrature(
         _psi_signal(t, step), cutoff)[1].samples),
-    "phi_oracle": ("t", lambda t, step, cutoff, quad_cfg:
-                   quadrature.phi_oracle(t, quad_cfg)),
-    "psi_oracle": ("t", lambda t, step, cutoff, quad_cfg:
-                   quadrature.psi_oracle(t, quad_cfg)),
+    "phi_oracle": ("t", lambda t, *_: quadrature.phi_oracle(t)),
+    "psi_oracle": ("t", lambda t, *_: quadrature.psi_oracle(t)),
 }
 FUNCTIONS = tuple(SERIES)
 # functions evaluated against an angular-frequency axis
@@ -92,11 +90,11 @@ SPECTRUM_FUNCTIONS = tuple(name for name, (label, _) in SERIES.items()
                            if label == "w")
 
 
-def evaluate_series(req, cutoff=signals.DEFAULT_CUTOFF, quad_cfg=None):
+def evaluate_series(req, cutoff=signals.DEFAULT_CUTOFF):
     """Evaluate the requested series; returns (axis_label, axis, values)."""
     t = grid_points(req.t_start, req.t_end, req.step)
     label, evaluate = SERIES[req.function]
-    return label, t, evaluate(t, req.step, cutoff, quad_cfg)
+    return label, t, evaluate(t, req.step, cutoff)
 
 
 _ROWS = 1 << 15      # rows per formatted chunk and per stream.write

@@ -6,6 +6,12 @@ The wavelet spectrum occupies the band [2pi/3, 8pi/3] with a sine taper on
 the lower transition and a cosine taper on the upper one, multiplied by the
 half-sample phase factor exp(j*w/2).
 
+Transform convention: the spectra are (1/sqrt(2pi)) integral f(t) e^{+jwt}
+dt, so f(t) = (1/sqrt(2pi)) integral F(w) e^{-jwt} dw.  Under this forward
+kernel the wavelet, even about t = 1/2, has the phase exp(+j*w/2).  numpy's
+DFT uses the kernel e^{-jwt}, so a scaled DFT of sampled psi gives the
+conjugate of wavelet_spectrum.
+
 All band edges and amplitudes are derived from the runtime value of pi so
 that the spectral identities (partition of unity, two-scale tiling, the
 product identity) hold to machine precision.
@@ -78,8 +84,10 @@ def wavelet_spectrum_magnitude(w):
 def wavelet_spectrum(w):
     """Complex wavelet spectrum: magnitude times the phase factor exp(j*w/2).
 
-    The phase uses the signed frequency, so negative-frequency values are
-    the conjugates of their positive counterparts (real time-domain wavelet).
+    This is the transform of psi under the forward kernel e^{+jwt}; a DFT
+    with numpy's kernel e^{-jwt} gives its conjugate.  The phase uses the
+    signed frequency, so negative-frequency values are the conjugates of
+    their positive counterparts (real time-domain wavelet).
     """
     arr = _check_finite(w, "w")
     out = wavelet_spectrum_magnitude(arr) * np.exp(0.5j * arr)

@@ -10,18 +10,17 @@ timestamp field).
 import io
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import closed_form, export, signals, spectral
-from .quadrature import QuadratureConfig, integrate, phi_oracle, psi_oracle
+from . import closed_form, export, quadrature, signals, spectral
+from .quadrature import phi_oracle, psi_oracle
 from .spectral import SQRT_2PI, W_LO, W_MID, W_HI
 
-# Comparison tolerance for closed form vs oracle keeps two orders of slack
-# over the quadrature tolerance, separating integrator error from
-# closed-form error.
-DEFAULT_QUAD_TOL = 1e-10
+# Closed form vs oracle: two orders above the 1e-10 bound on the oracle's
+# own error (quadrature_scheme_independence), separating integrator error
+# from closed-form error.
 ORACLE_COMPARE_TOL = 1e-8
 
 # Fixed normalization grid: symmetric about the wavelet centre t = 1/2,
@@ -37,7 +36,7 @@ DECAY_SAMPLES_PER_UNIT = 512
 DECAY_BLOCK_WIDTH = 1.5
 
 __all__ = ["Check", "VerificationReport", "run_verification", "decay_slope",
-           "DEFAULT_QUAD_TOL", "ORACLE_COMPARE_TOL"]
+           "ORACLE_COMPARE_TOL"]
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ def _trapezoid(y, dx):
     return float(np.trapezoid(y, dx=dx))
 
 
-def _spectral_checks(quad_cfg):
+def _spectral_checks():
     w_trans = np.linspace(W_LO, W_MID, 10_000)
     w_full = np.linspace(W_LO, W_HI, 10_000)
     inv_2pi = 1.0 / (2.0 * np.pi)
@@ -144,13 +143,14 @@ def _spectral_checks(quad_cfg):
                                - spectral.wavelet_spectrum_magnitude(w_full)))),
            1e-12)
 
-    density = lambda w: spectral.scale_spectrum(w)**2
-    energy = sum(integrate(density, a, b, quad_cfg)
-                 for a, b in ((-W_MID, -W_LO), (-W_LO, W_LO), (W_LO, W_MID)))
+    # the oracle's Gauss-Legendre rule at x = 0 integrates the density
+    energy = quadrature._gauss_legendre_integrals(
+        lambda w: spectral.scale_spectrum(w)**2,
+        (-W_MID, -W_LO, W_LO, W_MID), np.zeros(1))[0]
     yield ("spectral_energy", abs(energy - 1.0), 1e-8)
 
 
-def _closed_form_checks(quad_cfg):
+def _closed_form_checks():
     table = closed_form.singular_points()
 
     worst = 0.0
@@ -165,8 +165,8 @@ def _closed_form_checks(quad_cfg):
 
     t = np.concatenate([np.linspace(-8.0, 8.0, 4001),
                         np.array(table.all_points())])
-    phi_err = np.abs(closed_form.phi(t) - phi_oracle(t, quad_cfg))
-    psi_err = np.abs(closed_form.psi(t) - psi_oracle(t, quad_cfg))
+    phi_err = np.abs(closed_form.phi(t) - phi_oracle(t))
+    psi_err = np.abs(closed_form.psi(t) - psi_oracle(t))
     yield ("phi_oracle_agreement", float(np.max(phi_err)), ORACLE_COMPARE_TOL)
     yield ("psi_oracle_agreement", float(np.max(psi_err)), ORACLE_COMPARE_TOL)
 
@@ -204,14 +204,21 @@ def _closed_form_checks(quad_cfg):
     yield ("decay_slope_offset_from_minus_3", abs(decay_slope() + 3.0), 0.3)
 
 
-def _oracle_checks(quad_cfg):
-    # A rule with 16 nodes per panel integrates on other nodes than the
-    # configured one, so the difference measures the quadrature error.
-    other = replace(quad_cfg, panel_nodes=16)
-    t = np.linspace(-8.0, 8.0, 401)
-    diff = max(float(np.max(np.abs(oracle(t, quad_cfg) - oracle(t, other))))
-               for oracle in (phi_oracle, psi_oracle))
-    yield ("quadrature_scheme_independence", diff, quad_cfg.abs_tolerance)
+def _oracle_checks():
+    # Both rule families are accurate on 1 <= |x| < FILON_FROM, where the
+    # oracles use Gauss-Legendre alone, so their difference there measures
+    # the quadrature error.
+    x = np.linspace(1.0, quadrature.FILON_FROM, 381, endpoint=False)
+    x = np.concatenate([-x, x])
+    diff = max(scale * float(np.max(np.abs(
+                   quadrature._filon_integrals(f, branches, x)
+                   - quadrature._gauss_legendre_integrals(f, branches, x))))
+               for scale, f, branches in (
+                   (2.0 / SQRT_2PI, spectral.scale_spectrum,
+                    quadrature._PHI_BRANCHES),
+                   (2.0, quadrature._wavelet_integrand,
+                    quadrature._PSI_BRANCHES)))
+    yield ("quadrature_scheme_independence", diff, 1e-10)
 
     w = np.linspace(W_LO, W_HI, 10_000)
     lhs = 2.0 * spectral.scale_spectrum(w / 2.0) * spectral.scale_spectrum(w - 2.0 * np.pi)
@@ -219,7 +226,7 @@ def _oracle_checks(quad_cfg):
     yield ("oracle_integrand_consistency", float(np.max(np.abs(lhs - rhs))), 1e-12)
 
     yield ("oracle_tail_decay",
-           max(abs(phi_oracle(30.0, quad_cfg)), abs(psi_oracle(30.0, quad_cfg))),
+           max(abs(phi_oracle(30.0)), abs(psi_oracle(30.0))),
            1e-3)
 
 
@@ -283,11 +290,10 @@ def run_verification(grid_dt=1.0 / 64.0, grid_span=16.0,
     """
     n = signals.symmetric_grid(grid_span, grid_dt)
     signals.require_cutoff(cutoff)
-    quad_cfg = QuadratureConfig(abs_tolerance=DEFAULT_QUAD_TOL)
     sections = [
-        lambda: _spectral_checks(quad_cfg),
-        lambda: _closed_form_checks(quad_cfg),
-        lambda: _oracle_checks(quad_cfg),
+        _spectral_checks,
+        _closed_form_checks,
+        _oracle_checks,
         lambda: _signal_checks(n, grid_dt, grid_span, cutoff),
         _export_checks,
     ]
@@ -305,8 +311,7 @@ def run_verification(grid_dt=1.0 / 64.0, grid_span=16.0,
                                 bool(value <= tol_eff)))
     description = (f"signal grid t in [{-grid_span}, {grid_span}], "
                    f"dt={grid_dt}, cutoff={cutoff}; normalization grid "
-                   f"t in [{NORM_T_START}, {NORM_T_END}], dt={NORM_DT}; "
-                   f"quadrature tolerance {DEFAULT_QUAD_TOL}")
+                   f"t in [{NORM_T_START}, {NORM_T_END}], dt={NORM_DT}")
     return VerificationReport(
         checks=tuple(checks),
         grid_description=description,

@@ -12,10 +12,8 @@ import pytest
 
 from meyerwave import closed_form, export, signals, spectral, verify
 from meyerwave.cli import main
-from meyerwave.quadrature import QuadratureConfig, phi_oracle, psi_oracle
+from meyerwave.quadrature import phi_oracle, psi_oracle
 from meyerwave.spectral import SQRT_2PI, W_LO, W_MID, W_HI
-
-QUAD = QuadratureConfig(abs_tolerance=1e-10)
 
 
 def report_line(name, value, tol, ok):
@@ -49,8 +47,8 @@ class TestCriterion1OracleAgreement:
         table = closed_form.singular_points()
         t = np.concatenate([np.linspace(-8.0, 8.0, 4001),
                             np.array(table.all_points())])
-        phi_err = np.max(np.abs(closed_form.phi(t) - phi_oracle(t, QUAD)))
-        psi_err = np.max(np.abs(closed_form.psi(t) - psi_oracle(t, QUAD)))
+        phi_err = np.max(np.abs(closed_form.phi(t) - phi_oracle(t)))
+        psi_err = np.max(np.abs(closed_form.psi(t) - psi_oracle(t)))
         gate("1a_phi_vs_oracle", float(phi_err), 1e-8)
         gate("1b_psi_vs_oracle", float(psi_err), 1e-8)
 
@@ -63,13 +61,13 @@ class TestCriterion2Anchors:
 
     def test_phi_root_limit_vs_oracle(self):
         gate("2b_phi_at_three_quarters",
-             abs(closed_form.phi(0.75) - phi_oracle(0.75, QUAD)), 1e-10)
+             abs(closed_form.phi(0.75) - phi_oracle(0.75)), 1e-10)
         assert closed_form.phi(0.75) == pytest.approx(2.0 / (3.0 * np.pi),
                                                       abs=1e-13)
 
     def test_psi_centre_vs_oracle(self):
         gate("2c_psi_at_half",
-             abs(closed_form.psi(0.5) - psi_oracle(0.5, QUAD)), 1e-10)
+             abs(closed_form.psi(0.5) - psi_oracle(0.5)), 1e-10)
         assert closed_form.psi(0.5) == pytest.approx(4.0 / np.pi, abs=1e-13)
 
 

@@ -109,10 +109,84 @@ class TestContinuity:
     def test_guard_seam_is_smooth(self):
         # series path just inside the guard radius vs direct just outside
         for fn, s in ((phi, 0.75), (psi1, 1.25), (psi2, 0.875)):
-            inside = fn(s + 0.999 * GUARD_RADIUS)
-            outside = fn(s + 1.001 * GUARD_RADIUS)
+            inside = fn(s + GUARD_RADIUS - 1e-7)
+            outside = fn(s + GUARD_RADIUS + 1e-7)
             # the points sit 2e-7 apart and local slopes reach ~6
             assert inside == pytest.approx(outside, abs=1e-5)
+
+    # phi, psi1 and psi2 beside each denominator root, at NEAR_OFFSETS
+    # above and then below it: 1e-4 to 1e-3, where the ratio used to lose
+    # ~3e-13 to cancellation, and 0.5 to 2 guard radii.  From the forms with
+    # exact constants at the float y = t - center in 50-digit arithmetic
+    # (mpmath), then frozen.
+    NEAR_OFFSETS = np.array([1.01e-4, 3e-4, 1e-3, 1.5e-2, 2.99e-2, 3.01e-2,
+                             6e-2])
+    NEAR_REFERENCES = {
+        ('phi', -0.75): (
+            0.21235523258028739, 0.21264815433203632, 0.21367909299362619,
+            0.23447676157052538, 0.25696688808694296, 0.25727112963726563,
+            0.30339569690290452, 0.21205796721522632, 0.21176518796992884,
+            0.21073587440057194, 0.19033813340787069, 0.16904132374676076,
+            0.16875847124483641, 0.1274219921057773),
+        ('phi', 0.0): (
+            1.0910798250779771, 1.0910796438497174, 1.0910775771871333,
+            1.0905689364941422, 1.0890507078157827, 1.0890234877826756,
+            1.082923627435108, 1.0910798250779771, 1.0910796438497174,
+            1.0910775771871333, 1.0905689364941422, 1.0890507078157827,
+            1.0890234877826756, 1.082923627435108),
+        ('phi', 0.75): (
+            0.21205796721522632, 0.21176518796992884, 0.21073587440057194,
+            0.19033813340787069, 0.16904132374676076, 0.16875847124483641,
+            0.1274219921057773, 0.21235523258028739, 0.21264815433203632,
+            0.21367909299362619, 0.23447676157052538, 0.25696688808694296,
+            0.25727112963726563, 0.30339569690290452),
+        ('psi1', -0.25): (
+            -0.33344555779957416, -0.33366668644926214, -0.33444466364009341,
+            -0.35004655674546312, -0.36672875777710345, -0.36695314380223617,
+            -0.40060034488674283, -0.33322111335692744, -0.33300001982970746,
+            -0.33222244316275627, -0.3167191119766139, -0.30033094233564253,
+            -0.30011182570529717, -0.26764347239088109),
+        ('psi1', 0.5): (
+            -0.90892013795908633, -0.90892003003871203, -0.90891879935296394,
+            -0.90861589538465145, -0.90771163053844508, -0.90769541630624556,
+            -0.90406025674266168, -0.90892013795908633, -0.90892003003871203,
+            -0.90891879935296394, -0.90861589538465145, -0.90771163053844508,
+            -0.90769541630624556, -0.90406025674266168),
+        ('psi1', 1.25): (
+            -0.33322111335692756, -0.33300001982970746, -0.33222244316275639,
+            -0.31671911197661402, -0.30033094233564253, -0.30011182570529717,
+            -0.26764347239088109, -0.33344555779957404, -0.33366668644926214,
+            -0.33444466364009329, -0.35004655674546299, -0.36672875777710345,
+            -0.36695314380223617, -0.40060034488674283),
+        ('psi2', 0.125): (
+            0.42500778515925471, 0.42617975673138496, 0.43030674477013252,
+            0.51423800255010792, 0.60616645471568277, 0.60741643134073974,
+            0.79799052067622384, 0.42381872373452489, 0.42264789221364385,
+            0.41853390486781011, 0.33779977465308909, 0.25538399484223234,
+            0.25430415436451304, 0.10148877542547471),
+        ('psi2', 0.5): (
+            2.1821595111534952, 2.1821580613277079, 2.1821415280630679,
+            2.1780742408562969, 2.1659555644694544, 2.1657385871169225,
+            2.1173779148262503, 2.1821595111534952, 2.1821580613277079,
+            2.1821415280630679, 2.1780742408562969, 2.1659555644694545,
+            2.1657385871169225, 2.1173779148262504),
+        ('psi2', 0.875): (
+            0.42381872373452489, 0.42264789221364385, 0.41853390486781011,
+            0.33779977465308909, 0.25538399484223204, 0.25430415436451304,
+            0.10148877542547444, 0.42500778515925471, 0.42617975673138496,
+            0.43030674477013252, 0.51423800255010792, 0.60616645471568277,
+            0.60741643134073974, 0.7979905206762242),
+    }
+
+    @pytest.mark.parametrize("name, root", list(NEAR_REFERENCES),
+                             ids=lambda v: f"{v:g}" if isinstance(v, float)
+                             else v)
+    def test_near_roots_match_high_precision(self, name, root):
+        t = np.concatenate([root + self.NEAR_OFFSETS,
+                            root - self.NEAR_OFFSETS])
+        err = np.abs(getattr(closed_form, name)(t)
+                     - np.array(self.NEAR_REFERENCES[name, root]))
+        assert np.max(err) <= 1e-14, (t[np.argmax(err)], np.max(err))
 
     def test_series_matches_oracle_near_root(self):
         for off in (1e-9, 1e-7, 1e-5):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from meyerwave import closed_form, export, quadrature
+from meyerwave import closed_form, export
 from meyerwave.cli import main
 from meyerwave.export import ExportRequest, InvalidRequest, evaluate_series
 from meyerwave.spectral import W_MID
@@ -195,7 +195,7 @@ class TestSampleArgvProperty:
                          f"--step={step!r}", "--output", str(out)])
         assert not [w for w in caught if w.category is RuntimeWarning], \
             [str(w.message) for w in caught]
-        assert code in (0, 2, 3)
+        assert code in (0, 2)
         if code != 0:
             return
         rows = len(export.grid_points(start, end, step))
@@ -208,6 +208,75 @@ class TestSampleArgvProperty:
             payload = json.loads(out.read_text())
             assert payload["grid"]["count"] == rows
             assert len(payload["t"]) == len(payload["value"]) == rows
+
+
+# Values no grid, cutoff or scale may take, and one each that is tiny.
+SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
+                           5e-324, 1e-310])
+
+
+@st.composite
+def grid_argv(draw, command):
+    """A `verify` or `decompose` argv whose grid, when valid, has at most
+    200,001 points; each option may be left at its default."""
+    span = draw(st.one_of(SPECIAL, st.floats(1e-3, 64.0)))
+    finest = span / 1e5 if 0.0 < span < math.inf else 1e-3
+    dt = draw(st.one_of(SPECIAL, st.floats(finest, 2.0)))
+    cutoff = draw(st.one_of(SPECIAL, st.floats(0.5, 50.0)))
+    options = [("--grid-span", span), ("--grid-dt", dt), ("--cutoff", cutoff)]
+    if command == "verify":
+        options.append(("--tolerance-scale",
+                        draw(st.one_of(SPECIAL, st.floats(1e-6, 1e6)))))
+    else:
+        options.append(("--format", draw(st.sampled_from(["csv", "json"]))))
+    argv = [command]
+    for flag, value in options:
+        if draw(st.booleans()):
+            argv.append(f"{flag}={value!r}" if isinstance(value, float)
+                        else f"{flag}={value}")
+    return argv
+
+
+class TestGridArgvProperty:
+    """Every argv ends in exit 0, 1 or 2 with no traceback and no numpy
+    RuntimeWarning; exit 1 is a verify report that was written."""
+
+    def run(self, argv, out):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--output", str(out)])
+        assert not [w for w in caught if w.category is RuntimeWarning], \
+            [str(w.message) for w in caught]
+        return code
+
+    @settings(max_examples=12, deadline=None)
+    @given(argv=grid_argv("verify"))
+    @example(argv=["verify", "--grid-span=5e-324", "--grid-dt=5e-324"])
+    @example(argv=["verify", "--grid-dt=0.5"])
+    @example(argv=["verify", "--tolerance-scale=nan"])
+    def test_verify(self, tmp_path_factory, argv):
+        out = tmp_path_factory.mktemp("verify") / "report.json"
+        code = self.run(argv, out)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert not out.exists()
+            return
+        payload = json.loads(out.read_text())
+        assert payload["overall_pass"] == (code == 0)
+
+    @settings(max_examples=12, deadline=None)
+    @given(argv=grid_argv("decompose"))
+    @example(argv=["decompose", "--grid-span=5e-324", "--grid-dt=5e-324"])
+    @example(argv=["decompose", "--grid-dt=0.5", "--format=json"])
+    def test_decompose(self, tmp_path_factory, argv):
+        out = tmp_path_factory.mktemp("decompose")
+        code = self.run(argv, out)
+        assert code in (0, 2)
+        if code == 0:
+            fmt = "json" if "--format=json" in argv else "csv"
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                f"meyer_{name}.{fmt}" for name in
+                ("s_c", "s_s", "reconstruction", "reconstruction_error"))
 
 
 class TestCli:
@@ -327,14 +396,6 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and "not finite" in lines[0]
-
-    def test_oracle_doubling_over_node_budget_exits_3(self, capsys,
-                                                      monkeypatch):
-        monkeypatch.setattr(quadrature, "NODE_BUDGET", 48)
-        assert main(["sample", "--function", "phi_oracle", "--from", "0",
-                     "--to", "3", "--step", "3"]) == 3
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--function", "phi", "--from", "0", "--to", "1",

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from meyerwave import spectral
+from meyerwave import closed_form, signals
 from meyerwave.spectral import (SQRT_2PI, W_LO, W_MID, W_HI, nu,
                                 scale_spectrum, wavelet_spectrum,
                                 wavelet_spectrum_magnitude)
@@ -97,6 +99,31 @@ class TestWaveletSpectrum:
         w = np.linspace(-10.0, 10.0, 501)
         assert np.abs(wavelet_spectrum(w)) == pytest.approx(
             wavelet_spectrum_magnitude(w), abs=1e-15)
+
+    def test_phase_convention_against_sampled_psi(self):
+        # wavelet_spectrum is (1/sqrt(2pi)) integral psi(t) e^{+jwt} dt;
+        # numpy's DFT has the kernel e^{-jwt}, so it gives the conjugate.
+        # psi is band-limited far below the Nyquist frequency, so the
+        # scaled DFT differs from the transform only by the samples beyond
+        # |t| = T, which sum to at most 2 C / (T sqrt(2pi)) in magnitude,
+        # C = sup_{|t| >= T} |t^2 psi(t)|.
+        T, dt = 512.0, 1.0 / 64.0
+        n = signals.symmetric_grid(T, dt)
+        t = -T + dt * np.arange(n)
+        w = 2.0 * np.pi * np.fft.fftfreq(n, dt)
+        dft = (dt / SQRT_2PI * np.exp(-1j * w * t[0])
+               * np.fft.fft(closed_form.psi(t)))
+        band = (np.abs(w) > 2.5) & (np.abs(w) < 8.0)
+        # |y^2 N/D| <= (|p| + |r|/Y) / (|d3| - |d1|/Y^2) on each rational
+        # form for |y| >= Y, and t^2 <= y^2 (1 + 1/(2Y))^2 with y = t - 1/2
+        Y = T - 0.5
+        C = (1.0 + 0.5 / Y)**2 * sum(
+            (abs(f.p) + abs(f.r) / Y) / (abs(f.d3) - abs(f.d1) / Y**2)
+            for f in (closed_form._PSI1, closed_form._PSI2))
+        bound = 2.0 * C / (T * math.sqrt(2.0 * math.pi))
+        spectrum = wavelet_spectrum(w[band])
+        assert np.max(np.abs(dft[band] - np.conj(spectrum))) <= bound
+        assert np.max(np.abs(dft[band] - spectrum)) > 100.0 * bound
 
 
 class TestSpectralIdentities:

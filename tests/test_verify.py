@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from meyerwave import verify
+from meyerwave import quadrature, spectral, verify
 from meyerwave.cli import main
 
 EXPECTED_CHECKS = [
@@ -62,7 +63,7 @@ class TestReport:
             assert by_name[name].passed, f"{name}: {by_name[name]}"
 
     def test_scheme_independence_measures_a_difference(self, report):
-        # two different rules agree closely but not bit for bit
+        # Filon and Gauss-Legendre agree closely but not bit for bit
         check = {c.name: c for c in report.checks}[
             "quadrature_scheme_independence"]
         assert 0.0 < check.value <= check.tolerance
@@ -115,3 +116,23 @@ class TestCliVerify:
         by_name = {c.name: c for c in report.checks}
         assert "decay_slope_offset_from_minus_3" in by_name
         assert "scale_identity_closure" in by_name
+
+
+class TestChecksCanFail:
+    """A targeted corruption flips the named check to FAIL."""
+
+    @staticmethod
+    def verdict(name):
+        return {c.name: c for c in verify.run_verification().checks}[name]
+
+    def test_scheme_independence_sees_a_16_node_rule(self, monkeypatch):
+        # ~4e-5 off at |x| near 20
+        monkeypatch.setattr(quadrature, "_GL_NODES", 16)
+        assert not self.verdict("quadrature_scheme_independence").passed
+
+    def test_spectral_energy_sees_a_scaled_density(self, monkeypatch):
+        original = spectral.scale_spectrum
+        factor = math.sqrt(1.0 + 1e-6)
+        monkeypatch.setattr(spectral, "scale_spectrum",
+                            lambda w: factor * original(w))
+        assert not self.verdict("spectral_energy").passed
