@@ -35,7 +35,8 @@ DECAY_FIT_RANGE = (5.0, 50.0)
 DECAY_SAMPLES_PER_UNIT = 512
 DECAY_BLOCK_WIDTH = 1.5
 
-__all__ = ["Check", "VerificationReport", "run_verification", "decay_slope",
+__all__ = ["Check", "VerificationReport", "run_verification",
+           "require_tolerance_scale", "decay_slope",
            "ORACLE_COMPARE_TOL"]
 
 
@@ -278,18 +279,32 @@ def _export_checks():
     yield ("csv_round_trip", diff, 0.0)
 
 
+def require_tolerance_scale(scale):
+    """Raise ValueError unless the tolerance scale is positive and finite.
+
+    Every tolerance is multiplied by it: NaN would fail every check, and
+    zero or a negative scale would fail all but the exactly-zero ones, so
+    a usage error would read as a verification failure.
+    """
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"tolerance scale must be positive and finite, "
+                         f"got {scale}")
+
+
 def run_verification(grid_dt=1.0 / 64.0, grid_span=16.0,
                      cutoff=signals.DEFAULT_CUTOFF, tolerance_scale=1.0):
     """Run every library invariant and assemble a VerificationReport.
 
     grid_dt/grid_span/cutoff configure the discrete signal checks only;
     spectral and closed-form checks use their own canonical grids.  An
-    invalid grid raises signals.InvalidGrid, and a cutoff that is not
-    positive and finite raises ValueError, before any check runs; a grid
-    too coarse for the signal checks fails as a grid_precondition check.
+    invalid grid raises signals.InvalidGrid, and a cutoff or tolerance
+    scale that is not positive and finite raises ValueError, before any
+    check runs; a grid too coarse for the signal checks fails as a
+    grid_precondition check.
     """
     n = signals.symmetric_grid(grid_span, grid_dt)
     signals.require_cutoff(cutoff)
+    require_tolerance_scale(tolerance_scale)
     sections = [
         _spectral_checks,
         _closed_form_checks,

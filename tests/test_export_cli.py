@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from meyerwave import closed_form, export
+from meyerwave import closed_form, export, signals
 from meyerwave.cli import main
 from meyerwave.export import ExportRequest, InvalidRequest, evaluate_series
 from meyerwave.spectral import W_MID
@@ -40,6 +40,14 @@ class TestExportRequest:
     def test_rejects_runaway_export(self):
         with pytest.raises(InvalidRequest):
             ExportRequest("phi", 0.0, 1e6, 1e-6)
+
+    def test_point_budget_counts_both_ends(self):
+        # validates requests only: no grid of 1e7 points is allocated
+        budget = signals.MAX_GRID_POINTS
+        ExportRequest("phi", 0.0, budget - 1.0, 1.0)
+        assert export._grid_size(0.0, budget - 1.0, 1.0) == budget
+        with pytest.raises(InvalidRequest, match="point budget"):
+            ExportRequest("phi", 0.0, float(budget), 1.0)
 
 
 class TestSeries:
@@ -133,16 +141,20 @@ finite_or_extreme = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                               st.sampled_from(EXTREMES))
 
 
+# row counts a row either side of a chunk boundary four chunks in
+SPAN = 4 * export._ROWS
+
+
 class TestWritersMatchReference:
-    @pytest.mark.parametrize("n", [0, 1, 2, export._ROWS - 1, export._ROWS,
-                                   export._ROWS + 1, 2 * export._ROWS + 1])
+    @pytest.mark.parametrize("n", [0, 1, 2, SPAN - 1, SPAN, SPAN + 1,
+                                   2 * SPAN + 1])
     def test_csv_bytes(self, n):
         t = export.grid_points(-20.0, 20.0, 40.0 / max(n, 1))[:n]
         v = closed_form.psi(t)
         assert_same_bytes(export.write_csv, reference_write_csv, t, v)
 
-    @pytest.mark.parametrize("n", [1, 2, export._ROWS - 1, export._ROWS,
-                                   export._ROWS + 1, 2 * export._ROWS + 1])
+    @pytest.mark.parametrize("n", [1, 2, SPAN - 1, SPAN, SPAN + 1,
+                                   2 * SPAN + 1])
     def test_json_bytes(self, n):
         t = export.grid_points(-20.0, 20.0, 40.0 / max(n - 1, 1))[:n]
         v = closed_form.psi(t)
@@ -159,6 +171,60 @@ class TestWritersMatchReference:
                                       (export.write_json,
                                        reference_write_json)):
                 assert_same_bytes(writer, reference, t, v)
+
+
+class TestCsvDigits:
+    """The vectorized %.17g digits against the per-row reference writer."""
+
+    @staticmethod
+    def assert_csv_bytes(x):
+        x = np.asarray(x, dtype=float)
+        assert_same_bytes(export.write_csv, reference_write_csv,
+                          x[0::2], x[1::2])
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20261018)
+        bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+        self.assert_csv_bytes(bits.view(np.float64))
+
+    def test_exact_ties(self):
+        # odd n / 4 for n in [2**52, 2**53) has 16 integer digits and ends
+        # in .25 or .75: the 17th digit is followed by exactly half a unit
+        rng = np.random.default_rng(7)
+        n = rng.integers(2 ** 52, 2 ** 53, 20_000) | 1
+        ties = n.astype(np.float64) / 4.0
+        assert np.all(ties * 4.0 == n)
+        self.assert_csv_bytes(np.concatenate([ties, -ties]))
+
+    def test_powers_of_ten_and_neighbours(self):
+        # %g's switches between fixed and exponent notation (below 1e-4
+        # and at 1e17) and the ends of the vectorized range, 1e-11 and 1e17
+        p = np.array([float(f"1e{e}") for e in range(-12, 19)])
+        near = np.concatenate([p, np.nextafter(p, 0.0),
+                               np.nextafter(p, np.inf)])
+        self.assert_csv_bytes(np.concatenate([near, -near]))
+
+    def test_specials_in_one_chunk(self):
+        tiny = np.finfo(float).tiny
+        specials = [0.0, -0.0, 5e-324, -5e-324, tiny / 2, -tiny / 3,
+                    tiny, np.finfo(float).max, -np.finfo(float).max,
+                    math.nan, math.inf, -math.inf]
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(4 * len(specials))
+        x[1::4] = specials
+        x[2::4] = -np.array(specials)
+        self.assert_csv_bytes(x)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_chunks_mixing_vectorized_and_fallback(self, rows):
+        # values CPython formats (|x| < 1e-11, |x| >= 1e17, NaN, inf, a
+        # subnormal) at the start, the end and the middle of chunks
+        x = np.linspace(-3.0, 5.0, 4 * rows + 6)
+        fallback = [1e-12, 1e17, math.nan, -3e300, 9.9e-12, -1.5e17,
+                    5e-324, math.inf, 2e-11, 1e16, 0.0]
+        x[::3] = np.resize(fallback, x[::3].size)
+        with mock.patch.object(export, "_ROWS", rows):
+            self.assert_csv_bytes(x)
 
 
 @st.composite
@@ -254,10 +320,17 @@ class TestGridArgvProperty:
     @example(argv=["verify", "--grid-span=5e-324", "--grid-dt=5e-324"])
     @example(argv=["verify", "--grid-dt=0.5"])
     @example(argv=["verify", "--tolerance-scale=nan"])
+    @example(argv=["verify", "--tolerance-scale=-1.0"])
+    @example(argv=["verify", "--tolerance-scale=-0.0"])
+    @example(argv=["verify", "--tolerance-scale=inf"])
     def test_verify(self, tmp_path_factory, argv):
         out = tmp_path_factory.mktemp("verify") / "report.json"
         code = self.run(argv, out)
         assert code in (0, 1, 2)
+        scale = [float(a.partition("=")[2]) for a in argv
+                 if a.startswith("--tolerance-scale=")]
+        if scale and not 0.0 < scale[0] < math.inf:
+            assert code == 2
         if code == 2:
             assert not out.exists()
             return
@@ -369,6 +442,22 @@ class TestCli:
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cutoff")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "-0",
+                                       "-1"])
+    def test_bad_tolerance_scale_is_usage_error(self, tmp_path, capsys,
+                                                scale):
+        # NaN used to fail all 28 checks with exit 1, and -1 let
+        # csv_round_trip pass at tolerance -0.0
+        out = tmp_path / "r.json"
+        assert main(["verify", "--output", str(out),
+                     f"--tolerance-scale={scale}"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "error: tolerance scale")
         assert captured.out == ""
         assert not out.exists()
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from meyerwave import quadrature, spectral, verify
+from meyerwave import export, quadrature, spectral, verify
 from meyerwave.cli import main
 
 EXPECTED_CHECKS = [
@@ -136,3 +136,9 @@ class TestChecksCanFail:
         monkeypatch.setattr(spectral, "scale_spectrum",
                             lambda w: factor * original(w))
         assert not self.verdict("spectral_energy").passed
+
+    def test_csv_round_trip_sees_16_digits(self, monkeypatch):
+        monkeypatch.setattr(export, "_format_rows", lambda pairs: "".join(
+            f"{a:.16g},{v:.16g}\n" for a, v in pairs.tolist()))
+        check = self.verdict("csv_round_trip")
+        assert not check.passed and check.value > 0.0
