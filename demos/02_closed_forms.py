@@ -13,14 +13,10 @@ print(f"phi(0)   = {phi(0.0):.12f}   (2/3 + 4/(3pi) = "
 print(f"psi(1/2) = {psi(0.5):.12f}   (4/pi = {4 / np.pi:.12f})")
 print()
 
-table = singular_points()
 print("removable singularities (point -> limit):")
-for name, pts, lims in (
-        ("phi ", table.phi_singularities, table.phi_limits),
-        ("psi1", table.psi1_singularities, table.psi1_limits),
-        ("psi2", table.psi2_singularities, table.psi2_limits)):
+for name, (pts, lims) in singular_points().items():
     for t0, lim in zip(pts, lims):
-        print(f"  {name}  t = {t0:+.3f}  ->  {lim:+.12f}")
+        print(f"  {name:4}  t = {t0:+.3f}  ->  {lim:+.12f}")
 
 print()
 print("approach to the phi root at t = 3/4 (no precision loss):")

@@ -11,7 +11,7 @@ import numpy as np
 from meyerwave import phi, psi, phi_oracle, psi_oracle, singular_points
 
 t = np.concatenate([np.linspace(-8.0, 8.0, 801),
-                    np.array(singular_points().all_points())])
+                    [p for pts, _ in singular_points().values() for p in pts]])
 phi_err = np.abs(phi(t) - phi_oracle(t))
 psi_err = np.abs(psi(t) - psi_oracle(t))
 

@@ -28,9 +28,9 @@ print(f"full-grid max (shows the wrap-around edge effect): "
       f"{np.max(err):.3e}")
 
 for name, comp in (("s_c", s_c), ("s_s", s_s)):
-    g = dft(comp)
-    high = np.abs(g.coefficients[np.abs(g.bin_frequencies) > 2 * np.pi])
-    peak = np.max(np.abs(g.coefficients))
+    freqs, coefficients = dft(comp)
+    high = np.abs(coefficients[np.abs(freqs) > 2 * np.pi])
+    peak = np.max(np.abs(coefficients))
     print(f"{name}: peak |sample| = {np.max(np.abs(comp.samples)):.4f}, "
           f"out-of-band spectral residue = {np.max(high, initial=0) / peak:.1e}"
           f" of peak")

@@ -69,7 +69,7 @@ def _write_series(path, fmt, name, label, axis, values):
 
 def _cmd_sample(args):
     req = export.ExportRequest(args.function, args.t_start, args.t_end,
-                               args.step, args.format)
+                               args.step)
     label, axis, values = export.evaluate_series(req, cutoff=args.cutoff)
     _write_series(args.output, args.format, args.function, label, axis, values)
     return EXIT_OK

@@ -27,14 +27,14 @@ overflows near the top of the float range.  Nothing else can overflow:
 true limit.
 
 Limits at the roots follow from L'Hopital's rule and are computed here as
-N'(root)/D'(root) rather than frozen as decimals:
+N'(root)/D'(root) rather than frozen as decimals.  singular_points()
+returns them as {name: (points, limits)}, keyed by function name:
 
   phi : t in {-3/4, 0, 3/4} -> 2/(3pi), 2/3 + 4/(3pi), 2/(3pi)
   psi1: t in {-1/4, 1/2, 5/4} -> -1/3, 4/(3pi) - 4/3, -1/3
   psi2: t in {1/8, 1/2, 7/8} -> 4/(3pi), 8/(3pi) + 4/3, 4/(3pi)
 """
 
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -48,8 +48,7 @@ _PHASE_PERIOD = 3.0      # common period in y of every cos(q*y), sin(s*y)
 
 __all__ = [
     "GUARD_RADIUS", "TAYLOR_ORDER",
-    "phi", "psi1", "psi2", "psi",
-    "SingularPointTable", "singular_points",
+    "phi", "psi1", "psi2", "psi", "singular_points",
 ]
 
 
@@ -139,31 +138,9 @@ def psi(t):
     return _PSI1(t) + _PSI2(t)
 
 
-@dataclass(frozen=True)
-class SingularPointTable:
-    """Removable singularities of the rational forms and their limits."""
-
-    phi_singularities: tuple
-    phi_limits: tuple
-    psi1_singularities: tuple
-    psi1_limits: tuple
-    psi2_singularities: tuple
-    psi2_limits: tuple
-
-    def all_points(self):
-        return (self.phi_singularities + self.psi1_singularities
-                + self.psi2_singularities)
-
-
 def singular_points():
-    """Denominator roots (as abscissas t) with the analytic limit at each."""
-    def row(form):
-        points = tuple(form.center + y0 for y0 in form.roots)
-        limits = tuple(form.limit_at(y0) for y0 in form.roots)
-        return points, limits
-
-    phi_pts, phi_lims = row(_PHI)
-    psi1_pts, psi1_lims = row(_PSI1)
-    psi2_pts, psi2_lims = row(_PSI2)
-    return SingularPointTable(phi_pts, phi_lims, psi1_pts, psi1_lims,
-                              psi2_pts, psi2_lims)
+    """{name: (denominator roots as abscissas t, analytic limit at each)}."""
+    return {name: (tuple(form.center + y0 for y0 in form.roots),
+                   tuple(form.limit_at(y0) for y0 in form.roots))
+            for name, form in (("phi", _PHI), ("psi1", _PSI1),
+                               ("psi2", _PSI2))}

@@ -55,7 +55,6 @@ class ExportRequest:
     t_start: float
     t_end: float
     step: float
-    format: str = "csv"
 
     def __post_init__(self):
         if self.function not in FUNCTIONS:
@@ -68,8 +67,6 @@ class ExportRequest:
         if _grid_size(self.t_start, self.t_end, self.step) \
                 > signals.MAX_GRID_POINTS:
             raise InvalidRequest("export would exceed the point budget")
-        if self.format not in ("csv", "json"):
-            raise InvalidRequest(f"unknown format {self.format!r}")
 
 
 def _grid_size(t_start, t_end, step):

@@ -20,7 +20,9 @@ function directly:
 
 Filtering and the Hilbert transform are realised as ideal (brick-wall)
 multipliers on DFT bins, so results are periodic-convolution accurate:
-grids should span the waveform until its tails are negligible.
+grids should span the waveform until its tails are negligible.  dft(s)
+returns plain arrays, (bin_frequencies, coefficients), and
+idft(s, coefficients) puts coefficients back on the grid of s.
 
 A SampledSignal holds a read-only copy of its samples and cannot be
 reassigned, so its Hilbert transform is computed at most once and cached
@@ -42,7 +44,7 @@ MAX_GRID_POINTS = 10_000_000     # budget for any grid sized from user input
 __all__ = [
     "CARRIER", "DEFAULT_CUTOFF", "MAX_GRID_DT", "INTERIOR_FRACTION",
     "MAX_GRID_POINTS", "InvalidGrid", "GridTooCoarse", "GridMismatch",
-    "SampledSignal", "ComplexSpectrumGrid",
+    "SampledSignal",
     "symmetric_grid", "sample", "require_fine_grid", "require_cutoff",
     "dft", "idft", "lowpass", "hilbert",
     "decompose_quadrature", "reconstruct_quadrature",
@@ -78,8 +80,10 @@ class SampledSignal:
         samples = np.array(self.samples, dtype=float)
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        if self.dt <= 0:
-            raise InvalidGrid("dt must be positive")
+        if not np.isfinite(self.t0):
+            raise InvalidGrid(f"t0 must be finite, got {self.t0}")
+        if not 0.0 < self.dt < np.inf:
+            raise InvalidGrid(f"dt must be positive and finite, got {self.dt}")
         if self.samples.ndim != 1 or self.samples.size < 2:
             raise InvalidGrid("need at least two samples")
         if not np.all(np.isfinite(self.samples)):
@@ -99,23 +103,11 @@ class SampledSignal:
     @cached_property
     def _hilbert(self):
         """hilbert(self), computed on first use."""
-        g = dft(self)
-        g.coefficients = g.coefficients * (-1j * np.sign(g.bin_frequencies))
-        return idft(g)
-
-
-@dataclass
-class ComplexSpectrumGrid:
-    """DFT of a SampledSignal, with the grid metadata needed to invert."""
-
-    bin_frequencies: np.ndarray   # signed angular frequencies, rad/unit time
-    coefficients: np.ndarray
-    t0: float
-    dt: float
-
-    def __post_init__(self):
-        if len(self.bin_frequencies) != len(self.coefficients):
-            raise InvalidGrid("bin/coefficient length mismatch")
+        freqs, coefficients = dft(self)
+        # A new product that replaces the fft output: measured at n = 524,289,
+        # an in-place product or a kept fft output raises the peak RSS.
+        coefficients = coefficients * (-1j * np.sign(freqs))
+        return idft(self, coefficients)
 
 
 def symmetric_grid(span, dt):
@@ -148,14 +140,15 @@ def _bin_frequencies(s):
 
 
 def dft(s):
-    return ComplexSpectrumGrid(_bin_frequencies(s), np.fft.fft(s.samples),
-                               s.t0, s.dt)
+    """(bin_frequencies, coefficients) of s; frequencies in rad/unit time."""
+    return _bin_frequencies(s), np.fft.fft(s.samples)
 
 
-def idft(g):
+def idft(s, coefficients):
+    """The signal on the grid of s whose DFT is coefficients."""
     # Inputs in this library are conjugate-symmetric; the imaginary residue
     # is FFT round-off and is dropped.
-    return SampledSignal(g.t0, g.dt, np.fft.ifft(g.coefficients).real)
+    return s.replace_samples(np.fft.ifft(coefficients).real)
 
 
 def require_cutoff(cutoff):
@@ -171,10 +164,9 @@ def require_cutoff(cutoff):
 def lowpass(s, cutoff):
     """Ideal brick-wall low-pass: zero every DFT bin beyond the cutoff."""
     require_cutoff(cutoff)
-    g = dft(s)
-    g.coefficients = np.where(np.abs(g.bin_frequencies) > cutoff,
-                              0.0, g.coefficients)
-    return idft(g)
+    freqs, coefficients = dft(s)
+    coefficients[np.abs(freqs) > cutoff] = 0.0
+    return idft(s, coefficients)
 
 
 def hilbert(s):

@@ -155,9 +155,8 @@ def _closed_form_checks():
     table = closed_form.singular_points()
 
     worst = 0.0
-    for fn, points in ((closed_form.phi, table.phi_singularities),
-                       (closed_form.psi1, table.psi1_singularities),
-                       (closed_form.psi2, table.psi2_singularities)):
+    for name, (points, _) in table.items():
+        fn = getattr(closed_form, name)
         for s in points:
             for h in (1e-5, 1e-6, 1e-7):
                 for sgn in (1.0, -1.0):
@@ -165,7 +164,7 @@ def _closed_form_checks():
     yield ("singularity_continuity", worst, CONTINUITY_SLOPE_BOUND)
 
     t = np.concatenate([np.linspace(-8.0, 8.0, 4001),
-                        np.array(table.all_points())])
+                        [p for points, _ in table.values() for p in points]])
     phi_err = np.abs(closed_form.phi(t) - phi_oracle(t))
     psi_err = np.abs(closed_form.psi(t) - psi_oracle(t))
     yield ("phi_oracle_agreement", float(np.max(phi_err)), ORACLE_COMPARE_TOL)
@@ -236,11 +235,11 @@ def _signal_checks(n, grid_dt, grid_span, cutoff):
     t = sig.times
     inner = signals.interior_slice(n)
 
-    round_trip = signals.idft(signals.dft(sig))
+    round_trip = signals.idft(sig, signals.dft(sig)[1])
     yield ("dft_roundtrip",
            float(np.max(np.abs(round_trip.samples - sig.samples))), 1e-12)
 
-    coeffs = signals.dft(sig).coefficients
+    _, coeffs = signals.dft(sig)
     time_energy = float(np.sum(sig.samples**2))
     freq_energy = float(np.sum(np.abs(coeffs)**2)) / n
     yield ("parseval", abs(freq_energy - time_energy) / time_energy, 1e-10)
@@ -269,7 +268,7 @@ def _signal_checks(n, grid_dt, grid_span, cutoff):
 
 
 def _export_checks():
-    req = export.ExportRequest("phi", -2.0, 2.0, 0.125, "csv")
+    req = export.ExportRequest("phi", -2.0, 2.0, 0.125)
     label, axis, values = export.evaluate_series(req)
     buf = io.StringIO()
     export.write_csv(buf, "phi", label, axis, values)

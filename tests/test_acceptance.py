@@ -46,7 +46,7 @@ class TestCriterion1OracleAgreement:
     def test_closed_forms_match_quadrature(self):
         table = closed_form.singular_points()
         t = np.concatenate([np.linspace(-8.0, 8.0, 4001),
-                            np.array(table.all_points())])
+                            [p for pts, _ in table.values() for p in pts]])
         phi_err = np.max(np.abs(closed_form.phi(t) - phi_oracle(t)))
         psi_err = np.max(np.abs(closed_form.psi(t) - psi_oracle(t)))
         gate("1a_phi_vs_oracle", float(phi_err), 1e-8)

@@ -54,43 +54,41 @@ class TestAnchors:
 class TestSingularPoints:
     def test_tables(self):
         table = singular_points()
-        assert table.phi_singularities == (-0.75, 0.0, 0.75)
-        assert table.psi1_singularities == (-0.25, 0.5, 1.25)
-        assert table.psi2_singularities == (0.125, 0.5, 0.875)
+        assert list(table) == ["phi", "psi1", "psi2"]
+        assert table["phi"][0] == (-0.75, 0.0, 0.75)
+        assert table["psi1"][0] == (-0.25, 0.5, 1.25)
+        assert table["psi2"][0] == (0.125, 0.5, 0.875)
 
     def test_limits_match_analytic_values(self):
         table = singular_points()
-        assert table.phi_limits == pytest.approx(
+        assert table["phi"][1] == pytest.approx(
             (2.0 / (3.0 * np.pi), 2.0 / 3.0 + 4.0 / (3.0 * np.pi),
              2.0 / (3.0 * np.pi)), abs=1e-14)
-        assert table.psi1_limits == pytest.approx(
+        assert table["psi1"][1] == pytest.approx(
             (-1.0 / 3.0, 4.0 / (3.0 * np.pi) - 4.0 / 3.0, -1.0 / 3.0),
             abs=1e-14)
-        assert table.psi2_limits == pytest.approx(
+        assert table["psi2"][1] == pytest.approx(
             (4.0 / (3.0 * np.pi), 8.0 / (3.0 * np.pi) + 4.0 / 3.0,
              4.0 / (3.0 * np.pi)), abs=1e-14)
 
     def test_phi_zero_limit_is_exact_everywhere(self):
         # the series path at the t = 0 root is the only source of phi(0)
         exact = 2.0 / 3.0 + 4.0 / (3.0 * np.pi)
-        assert singular_points().phi_limits[1] == exact
+        assert singular_points()["phi"][1][1] == exact
         assert phi(-0.0) == exact
         assert np.all(phi(np.zeros((2, 3))) == exact)
 
     def test_limits_match_oracle(self):
         table = singular_points()
-        for t, ref in zip(table.phi_singularities, table.phi_limits):
+        for t, ref in zip(*table["phi"]):
             assert phi_oracle(t) == pytest.approx(ref, abs=1e-10)
         # psi1/psi2 share the centre root; only their sum has an oracle
         assert psi_oracle(0.5) == pytest.approx(
-            table.psi1_limits[1] + table.psi2_limits[1], abs=1e-10)
+            table["psi1"][1][1] + table["psi2"][1][1], abs=1e-10)
 
     def test_functions_return_limits_at_roots(self):
-        table = singular_points()
-        for fn, pts, lims in (
-                (phi, table.phi_singularities, table.phi_limits),
-                (psi1, table.psi1_singularities, table.psi1_limits),
-                (psi2, table.psi2_singularities, table.psi2_limits)):
+        for name, (pts, lims) in singular_points().items():
+            fn = getattr(closed_form, name)
             for t, ref in zip(pts, lims):
                 assert fn(t) == pytest.approx(ref, rel=1e-13)
 
@@ -98,10 +96,8 @@ class TestSingularPoints:
 class TestContinuity:
     @pytest.mark.parametrize("h", [1e-5, 1e-6, 1e-7])
     def test_no_jump_at_any_root(self, h):
-        table = singular_points()
-        for fn, pts in ((phi, table.phi_singularities),
-                        (psi1, table.psi1_singularities),
-                        (psi2, table.psi2_singularities)):
+        for name, (pts, _) in singular_points().items():
+            fn = getattr(closed_form, name)
             for s in pts:
                 for sgn in (1.0, -1.0):
                     assert abs(fn(s) - fn(s + sgn * h)) <= 50.0 * h

@@ -17,8 +17,7 @@ from meyerwave.verify import ORACLE_COMPARE_TOL
 
 class TestExportRequest:
     def test_valid(self):
-        req = ExportRequest("phi", -1.0, 1.0, 0.5)
-        assert req.format == "csv"
+        ExportRequest("phi", -1.0, 1.0, 0.5)
 
     def test_rejects_bad_range(self):
         with pytest.raises(InvalidRequest):

@@ -10,7 +10,8 @@ from meyerwave.quadrature import phi_oracle, psi_oracle
 from meyerwave.spectral import SQRT_2PI, W_HI, W_LO, W_MID, scale_spectrum
 from meyerwave.verify import ORACLE_COMPARE_TOL
 
-SINGULAR_POINTS = closed_form.singular_points().all_points()
+SINGULAR_POINTS = [t for points, _ in closed_form.singular_points().values()
+                   for t in points]
 ORACLES = [(phi_oracle, closed_form.phi), (psi_oracle, closed_form.psi)]
 
 

@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from meyerwave import export, quadrature, spectral, verify
+from meyerwave import (closed_form, export, quadrature, signals, spectral,
+                       verify)
 from meyerwave.cli import main
 
 EXPECTED_CHECKS = [
@@ -142,3 +144,48 @@ class TestChecksCanFail:
             f"{a:.16g},{v:.16g}\n" for a, v in pairs.tolist()))
         check = self.verdict("csv_round_trip")
         assert not check.passed and check.value > 0.0
+
+    @pytest.mark.parametrize("name", list(closed_form.singular_points()))
+    def test_singularity_continuity_sees_a_step_beside_a_root(
+            self, monkeypatch, name):
+        original = getattr(closed_form, name)
+        root = closed_form.singular_points()[name][0][0]
+
+        def stepped(t):
+            y = np.asarray(t) - root
+            return original(t) + 1e-4 * ((y > 0.0) & (y < 1e-5))
+
+        monkeypatch.setattr(closed_form, name, stepped)
+        assert not self.verdict("singularity_continuity").passed
+
+    # Neither point lies on the check's linspace(-8, 8, 4001) grid: only
+    # the singular points appended to it reach them.
+    @pytest.mark.parametrize("oracle, root", [("phi_oracle", 0.75),
+                                              ("psi_oracle", 1.25)])
+    def test_oracle_agreement_sees_a_singular_point(self, monkeypatch,
+                                                    oracle, root):
+        original = getattr(verify, oracle)
+        monkeypatch.setattr(verify, oracle, lambda t: original(t)
+                            + 1e-6 * (np.asarray(t) == root))
+        check = oracle.replace("oracle", "oracle_agreement")
+        assert not self.verdict(check).passed
+
+    def test_dft_roundtrip_sees_a_scaled_inverse(self, monkeypatch):
+        original = signals.idft
+
+        def scaled(s, coefficients):
+            out = original(s, coefficients)
+            return out.replace_samples(out.samples * (1.0 + 1e-9))
+
+        monkeypatch.setattr(signals, "idft", scaled)
+        assert not self.verdict("dft_roundtrip").passed
+
+    def test_parseval_sees_scaled_coefficients(self, monkeypatch):
+        original = signals.dft
+
+        def scaled(s):
+            freqs, coefficients = original(s)
+            return freqs, coefficients * (1.0 + 1e-9)
+
+        monkeypatch.setattr(signals, "dft", scaled)
+        assert not self.verdict("parseval").passed
