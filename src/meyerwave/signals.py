@@ -111,8 +111,9 @@ class SampledSignal:
 
 
 def symmetric_grid(span, dt):
-    """Point count n of the grid -span + k*dt, k < n, symmetric about 0:
-    the half-width span/dt is rounded to a whole number of steps."""
+    """Point count n = 2m + 1 of the grid -span + k*dt, k < n, where m is
+    span/dt rounded to whole steps; the grid ends at +span only when
+    span/dt is whole (span 1 with dt 0.3 ends at 0.8)."""
     half = span / dt if span > 0 and dt > 0 else np.nan
     # NaN and inf fail this comparison: neither may reach int()
     n = 2 * int(round(half)) + 1 if half < MAX_GRID_POINTS else 0

@@ -62,7 +62,8 @@ def scale_spectrum(w):
     """
     arr = _check_finite(w, "w")
     aw = np.abs(arr)
-    taper = np.cos(0.5 * np.pi * np.clip(3.0 * aw / (2.0 * np.pi) - 1.0, 0.0, 1.0))
+    with np.errstate(over="ignore"):  # 3|w| past ~6e307, where out is 0
+        taper = np.cos(0.5 * np.pi * np.clip(3.0 * aw / (2.0 * np.pi) - 1.0, 0.0, 1.0))
     out = np.where(aw <= W_MID, taper / SQRT_2PI, 0.0)
     return _maybe_item(out, w)
 
@@ -71,8 +72,9 @@ def wavelet_spectrum_magnitude(w):
     """Magnitude of the wavelet spectrum; even in w, supported on [2pi/3, 8pi/3]."""
     arr = _check_finite(w, "w")
     aw = np.abs(arr)
-    lower = np.sin(0.5 * np.pi * np.clip(3.0 * aw / (2.0 * np.pi) - 1.0, 0.0, 1.0))
-    upper = np.cos(0.5 * np.pi * np.clip(3.0 * aw / (4.0 * np.pi) - 1.0, 0.0, 1.0))
+    with np.errstate(over="ignore"):  # 3|w| past ~6e307, where out is 0
+        lower = np.sin(0.5 * np.pi * np.clip(3.0 * aw / (2.0 * np.pi) - 1.0, 0.0, 1.0))
+        upper = np.cos(0.5 * np.pi * np.clip(3.0 * aw / (4.0 * np.pi) - 1.0, 0.0, 1.0))
     # First matching band wins; at the shared edge 4pi/3 both give 1/sqrt(2pi).
     out = np.where(
         (aw >= W_LO) & (aw <= W_MID), lower / SQRT_2PI,

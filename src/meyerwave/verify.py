@@ -2,9 +2,9 @@
 
 The suite re-derives each property on a concrete grid and reports the
 measured deviation next to its threshold, so a failed check always shows
-both numbers.  Checks are independent and pure; the report is a plain
-value object that serializes to JSON deterministically (apart from the
-timestamp field).
+both numbers.  Checks are independent and pure, and each verdict is
+derived from its value and tolerance; the report is a plain value object
+that serializes to JSON deterministically (apart from the timestamp).
 """
 
 import io
@@ -45,15 +45,21 @@ class Check:
     name: str
     value: float
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self):
+        return bool(self.value <= self.tolerance)
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     checks: tuple
     grid_description: str
-    overall_pass: bool
     timestamp: str
+
+    @property
+    def overall_pass(self):
+        return all(c.passed for c in self.checks)
 
     def to_dict(self):
         return {
@@ -191,7 +197,7 @@ def _closed_form_checks():
     worst = 0.0
     for n in range(-3, 4):
         k = abs(n) * shift
-        a, b = (slice(k, None), slice(None, ph.size - k)) if k else (slice(None),) * 2
+        a, b = slice(k, None), slice(None, ph.size - k)
         if n < 0:
             a, b = b, a
         target = 1.0 if n == 0 else 0.0
@@ -230,23 +236,23 @@ def _oracle_checks():
            1e-3)
 
 
-def _signal_checks(n, grid_dt, grid_span, cutoff):
-    sig = signals.sample(closed_form.psi, -grid_span, grid_dt, n)
+def _signal_checks(sig, cutoff):
+    n = sig.samples.size
     t = sig.times
     inner = signals.interior_slice(n)
 
-    round_trip = signals.idft(sig, signals.dft(sig)[1])
+    _, coeffs = signals.dft(sig)
+    round_trip = signals.idft(sig, coeffs)
     yield ("dft_roundtrip",
            float(np.max(np.abs(round_trip.samples - sig.samples))), 1e-12)
 
-    _, coeffs = signals.dft(sig)
     time_energy = float(np.sum(sig.samples**2))
     freq_energy = float(np.sum(np.abs(coeffs)**2)) / n
     yield ("parseval", abs(freq_energy - time_energy) / time_energy, 1e-10)
 
     k = np.arange(n)
     tone = signals.SampledSignal(
-        sig.t0, grid_dt,
+        sig.t0, sig.dt,
         np.sin(2.0 * np.pi * 3.0 * k / n) + 0.5 * np.cos(2.0 * np.pi * 7.0 * k / n))
     twice = signals.hilbert(signals.hilbert(tone))
     yield ("hilbert_involution",
@@ -295,40 +301,26 @@ def run_verification(grid_dt=1.0 / 64.0, grid_span=16.0,
     """Run every library invariant and assemble a VerificationReport.
 
     grid_dt/grid_span/cutoff configure the discrete signal checks only;
-    spectral and closed-form checks use their own canonical grids.  An
-    invalid grid raises signals.InvalidGrid, and a cutoff or tolerance
-    scale that is not positive and finite raises ValueError, before any
-    check runs; a grid too coarse for the signal checks fails as a
-    grid_precondition check.
+    spectral and closed-form checks use their own canonical grids.  Before
+    any check runs, an invalid grid raises signals.InvalidGrid, a grid too
+    coarse for the wavelet band signals.GridTooCoarse, and a cutoff or
+    tolerance scale that is not positive and finite ValueError.
     """
     n = signals.symmetric_grid(grid_span, grid_dt)
     signals.require_cutoff(cutoff)
     require_tolerance_scale(tolerance_scale)
-    sections = [
-        _spectral_checks,
-        _closed_form_checks,
-        _oracle_checks,
-        lambda: _signal_checks(n, grid_dt, grid_span, cutoff),
-        _export_checks,
-    ]
-    checks = []
-    for section in sections:
-        try:
-            produced = list(section())
-        except signals.GridTooCoarse as exc:
-            checks.append(Check(f"grid_precondition({exc})",
-                                float("inf"), 0.0, False))
-            continue
-        for name, value, tol in produced:
-            tol_eff = tol * tolerance_scale
-            checks.append(Check(name, value, tol_eff,
-                                bool(value <= tol_eff)))
+    sig = signals.sample(closed_form.psi, -grid_span, grid_dt, n)
+    signals.require_fine_grid(sig)
+    checks = [Check(name, value, tol * tolerance_scale)
+              for section in (_spectral_checks(), _closed_form_checks(),
+                              _oracle_checks(), _signal_checks(sig, cutoff),
+                              _export_checks())
+              for name, value, tol in section]
     description = (f"signal grid t in [{-grid_span}, {grid_span}], "
                    f"dt={grid_dt}, cutoff={cutoff}; normalization grid "
                    f"t in [{NORM_T_START}, {NORM_T_END}], dt={NORM_DT}")
     return VerificationReport(
         checks=tuple(checks),
         grid_description=description,
-        overall_pass=all(c.passed for c in checks),
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     )

@@ -250,6 +250,11 @@ class TestSampleArgvProperty:
     @example(case=("s_c", "csv", 0.0, 1e-310, 1e-312))
     @example(case=("phi", "csv", 0.0, 1.0, math.inf))
     @example(case=("phi", "csv", 1e300, 2e300, 2.5e299))
+    # 3|w| overflows past ~6e307, where both spectra are 0
+    @example(case=("phi_spectrum", "csv", 1.7958954417205e308,
+                   1.7976931348623157e308, 1.7976931348623157e304))
+    @example(case=("psi_spectrum_magnitude", "csv", 1.7958954417205e308,
+                   1.7976931348623157e308, 1.7976931348623157e304))
     def test_exit_code_and_output(self, tmp_path_factory, case):
         function, fmt, start, end, step = case
         out = tmp_path_factory.mktemp("sample") / f"out.{fmt}"
@@ -411,6 +416,17 @@ class TestCli:
                              "--to", "8", "--step", step,
                              "--output", str(tmp_path / "x.csv")])
                 assert code == 2, (name, step)
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_coarse_grid_is_usage_error(self, tmp_path, capsys, command):
+        # rejected before any check runs, not reported as a failed check
+        out = tmp_path / ("out" if command == "decompose" else "r.json")
+        assert main([command, "--output", str(out), "--grid-dt", "0.5"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: dt=0.5")
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["decompose", "verify"])
     @pytest.mark.parametrize("grid", [

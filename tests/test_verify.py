@@ -86,11 +86,9 @@ class TestReport:
 
 
 class TestCoarseGrid:
-    def test_coarse_grid_recorded_as_failure(self):
-        rep = verify.run_verification(grid_dt=0.5)
-        assert not rep.overall_pass
-        assert any("grid_precondition" in c.name and not c.passed
-                   for c in rep.checks)
+    def test_coarse_grid_raises_before_any_check(self):
+        with pytest.raises(signals.GridTooCoarse):
+            verify.run_verification(grid_dt=0.5)
 
 
 class TestCliVerify:
@@ -189,3 +187,43 @@ class TestChecksCanFail:
 
         monkeypatch.setattr(signals, "dft", scaled)
         assert not self.verdict("parseval").passed
+
+    @pytest.mark.parametrize("name", ["partition_of_unity_scale_wavelet",
+                                      "spectral_product_identity"])
+    def test_wavelet_identities_see_a_scaled_magnitude(self, monkeypatch,
+                                                       name):
+        # ~3e-10 and ~4e-10 off
+        original = spectral.wavelet_spectrum_magnitude
+        monkeypatch.setattr(spectral, "wavelet_spectrum_magnitude",
+                            lambda w: original(w) * (1.0 + 1e-9))
+        assert not self.verdict(name).passed
+
+    @pytest.mark.parametrize("name, check", [
+        ("phi", "phi_unit_integral"), ("phi", "phi_unit_energy"),
+        ("psi", "psi_unit_energy")])
+    def test_normalization_sees_a_scaled_function(self, monkeypatch, name,
+                                                  check):
+        # ~1e-5, ~2e-5 and ~2e-5 off
+        original = getattr(closed_form, name)
+        monkeypatch.setattr(closed_form, name,
+                            lambda t: original(t) * (1.0 + 1e-5))
+        assert not self.verdict(check).passed
+
+    def test_shift_orthogonality_sees_a_shifted_copy(self, monkeypatch):
+        # <psi(t - 1), psi(t)> becomes ~1e-4
+        original = closed_form.psi
+        monkeypatch.setattr(closed_form, "psi", lambda t: original(t)
+                            + 1e-4 * original(np.asarray(t) - 1.0))
+        assert not self.verdict("shift_orthogonality").passed
+
+    def test_reconstruction_closure_sees_a_scaled_remodulation(
+            self, monkeypatch):
+        # ~1e-2 off
+        original = signals.reconstruct_quadrature
+
+        def scaled(s_c, s_s):
+            out = original(s_c, s_s)
+            return out.replace_samples(out.samples * (1.0 + 1e-2))
+
+        monkeypatch.setattr(signals, "reconstruct_quadrature", scaled)
+        assert not self.verdict("quadrature_reconstruction_closure").passed
