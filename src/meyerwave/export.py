@@ -12,24 +12,42 @@ call, so a file is never held whole in memory.  The bytes are those a
 per-row loop (CSV) or ``json.dump(payload, stream, indent=2)`` (JSON)
 would write.
 
-The CSV digits are computed in numpy, a chunk at a time, with integer
-arithmetic only.  A double is exactly M * 2**E with a 53-bit M.  For
-10**-11 <= |x| < 10**17 the decimal exponent k of its leading digit is
-at least -11 and at most 16, so ``%.17g`` prints the integer
-D = round(M * 2**E * 10**(16 - k)), rounded half to even, with
-0 <= 16 - k <= 27.  5**27 fits in 64 bits, so the product
-M * 5**(16 - k) is formed exactly in 128 bits from 32-bit halves,
-shifted by E + 16 - k, and rounded on the exact remainder (Gay,
-"Correctly rounded binary-decimal and decimal-binary conversions",
-1990).  k starts from ``np.log10`` and is corrected by one wherever D,
-truncated instead of rounded, leaves [1e16, 1e17).  The 17 digits then
-follow ``%g``'s layout: trailing zeros are dropped but integer digits
-are kept, -4 <= k < 0 gets a ``0.000`` prefix and k < -4 an ``e-XX``
-exponent.  Each value is laid out in three uint64 lanes (24 bytes)
-padded with NUL bytes, which one ``bytes.translate`` removes.  Zeros
-are formatted the same way.  NaN, infinities, subnormals, and
-|x| <= 1e-11 or |x| >= 1e17 are formatted by CPython's own ``%.17g``
-(the double 1e-11 lies below 10**-11).
+Both writers compute their digits in numpy, a chunk at a time, with
+integer arithmetic only.  A double is exactly M * 2**E with a 53-bit M.
+For 10**-11 <= |x| < 10**17 the decimal exponent k of its leading digit
+is at least -11 and at most 16, and D = floor(M * 2**E * 10**(16 - k))
+holds its first 17 digits, with 0 <= 16 - k <= 27.  5**27 fits in 64
+bits, so the product M * 5**(16 - k) is formed exactly in 128 bits from
+32-bit halves, shifted by E + 16 - k, and rounded on the exact remainder
+(Gay, "Correctly rounded binary-decimal and decimal-binary conversions",
+1990).  k starts from ``np.log10`` and is corrected by one wherever D
+leaves [1e16, 1e17).
+
+``%.17g`` (CSV) prints D rounded half to even.  ``repr`` (JSON) prints
+the fewest digits that read back as x, nearest x (Steele and White, "How
+to print floating-point numbers accurately", 1990; Adams, "Ryu", 2018).
+Every decimal between the midpoints to the two neighbouring doubles
+reads back as x, and so do the midpoints themselves when M is even,
+since reading rounds ties to even.  The midpoints are (2M -+ 1) *
+2**(E - 1), but at M = 2**52 the lower gap halves and the lower one is
+(4M - 1) * 2**(E - 2); both are scaled as D is, every shift staying
+within 63 bits, and cut to the integers [lower, upper] between them.
+That interval is less than 10**17 / 2**52 < 23 units wide, so the digits
+are those of the multiple of 100 in it, if there is one, else of the
+multiple of 10 in it nearest x, else D rounded; a tie at the shortest
+length goes to the even digit, and a result of 10**17 moves k up by one.
+
+One layout routine then places the digits as per-slot tables say: one
+slot per k, one for zero and one for the fallback.  ``%g``'s tables drop
+trailing zeros but keep integer digits, give -4 <= k < 0 a ``0.000``
+prefix and k < -4 an ``e-XX`` exponent; ``repr``'s also keep a point and
+one digit after it on integral values (``100.0``), use an exponent from
+k = 16 on (``1e+16``) and write zero as ``0.0``.  Each value fills three
+uint64 lanes (24 bytes), its separator ends them (``,`` or a newline in
+CSV, and ``,\\n    `` in JSON, which takes a fourth lane), and one
+``bytes.translate`` removes the NUL padding.  NaN, infinities,
+subnormals, and |x| <= 1e-11 or |x| >= 1e17 are formatted by CPython's
+own ``%.17g`` or ``json.dumps`` (the double 1e-11 lies below 10**-11).
 """
 
 import json
@@ -123,18 +141,19 @@ def evaluate_series(req, cutoff=signals.DEFAULT_CUTOFF):
 _ROWS = 1 << 13      # rows per formatted chunk and per stream.write
 
 _POW5 = np.array([5 ** q for q in range(28)], dtype=np.uint64)
+_POW10 = np.array([1, 10, 100], dtype=np.uint64)
 _LOW32 = 0xFFFFFFFF
 _ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
 # ASCII '0' on every digit byte; byte 0 of lane 0 is the sign's
 _ASCII = np.array([[0x3030303030303000], [0x3030303030303030],
                    [0x3030303030303030]], dtype=np.uint64)
-_SEPARATORS = np.array([ord(","), ord("\n")], dtype=np.uint64) << 56
 _ZERO, _OTHER = 28, 29      # layout slots after those of k = -11 .. 16
 
 
 def _scaled(m, e, k):
-    """floor(m * 2**e * 10**(16 - k)) for 0 <= 16 - k <= 27, and whether
-    rounding it half to even goes up, from the exact 128-bit product."""
+    """floor(m * 2**e * 10**(16 - k)) for 0 <= 16 - k <= 27, whether
+    rounding it half to even goes up, and whether it is exact, from the
+    exact 128-bit product."""
     q = 16 - k
     f = _POW5[q]
     m0, m1 = m & _LOW32, m >> 32
@@ -149,7 +168,76 @@ def _scaled(m, e, k):
     d = (hi << 1 << (63 - right) | lo >> right) << left
     rem = lo & ((1 << right) - 1)
     half = 1 << (np.maximum(right, 1) - 1)
-    return d, rem + (d & 1) > half
+    return d, rem + (d & 1) > half, rem == 0
+
+
+def _decimal(x):
+    """Each x as |x| = m * 2**e, exactly, with a 53-bit m; the decimal
+    exponent k of its leading digit; its 17 digits D = floor(|x| *
+    10**(16 - k)) with whether rounding D goes up and whether D is exact;
+    and its layout slot, k + 11 or _ZERO or _OTHER."""
+    a = np.abs(x)
+    # exactly 10**-11 <= |x| < 10**17: the double 1e-11 is below 10**-11
+    covered = (a > 1e-11) & (a < 1e17)
+    y = np.where(covered, a, 1.0)
+    bits = y.view(np.uint64)
+    e = (bits >> 52).astype(np.int64) - 1075
+    m = bits & 0xFFFFFFFFFFFFF | 1 << 52
+    k = np.clip(np.floor(np.log10(y)), -11, 16).astype(np.int64)
+    d, up, exact = _scaled(m, e, k)
+    # np.log10 can put k one off near a power of ten
+    step = (d >= 10 ** 17).astype(np.int64) - (d < 10 ** 16)
+    redo = np.flatnonzero(step)
+    if redo.size:
+        k[redo] += step[redo]
+        d[redo], up[redo], exact[redo] = _scaled(m[redo], e[redo], k[redo])
+    slot = k + 11
+    slot[~covered] = _OTHER
+    slot[a == 0] = _ZERO
+    return m, e, k, d, up, exact, slot
+
+
+def _shortest(m, e, k, d, up, exact):
+    """The shortest digits that read back as m * 2**e, from _decimal's D
+    and flags: the 17-digit integer they begin, and where they are those
+    of 10**(k + 1), which moves k up by one.
+
+    Every decimal between the midpoints to the two neighbouring doubles
+    reads back as x, and so do the midpoints themselves when m is even,
+    since reading rounds ties to even.  Scaled as D is, the integers in
+    that interval are [lower, upper]; D rounded is among them.  The
+    digits are those of the multiple of 10**j in it nearest x, ties to
+    even, for the largest j that has one (Steele and White, "How to
+    print floating-point numbers accurately", 1990).
+    """
+    # the midpoints are (2m -+ 1) * 2**(e - 1), but the double below
+    # 2**52 * 2**e is 2**(e - 1) away, so the lower one is (4m - 1) *
+    # 2**(e - 2) there; the shifts stay within 63 bits for |x| > 1e-11
+    edge = m == 1 << 52
+    upper, _, upper_exact = _scaled(2 * m + 1, e - 1, k)
+    lower, _, lower_exact = _scaled(np.where(edge, 4 * m - 1, 2 * m - 1),
+                                    e - 1 - edge, k)
+    even = (m & 1) == 0
+    upper -= upper_exact & ~even
+    lower += ~(lower_exact & even)      # floor to ceiling, or past an end
+    # the interval is less than 10**17 / 2**52 < 23 units wide, so for
+    # j >= 2 a multiple of 10**j in it is the one multiple of 100 there,
+    # and the one nearest x: j = 2 gives the digits of any larger j
+    p = _POW10.take(sum(upper // q * q >= lower for q in (10, 100)))
+    c = d // p
+    r = d - c * p
+    half = p >> 1
+    # D plus its fraction passes c * p + half unless it is an exact tie
+    # with c even; at j = 0 that is _scaled's own flag
+    tie = (r == half) & exact & ((c & 1) == 0)
+    up = np.where(p > 1, (r > half) | (r == half) & ~tie, up)
+    v = (c + up) * p
+    # the interval is symmetric about x but at m = 2**52, where it is
+    # narrower below: there the nearest multiple can fall below it
+    v += (v < lower) * p
+    carry = v == 10 ** 17
+    v[carry] = 10 ** 16
+    return v, carry
 
 
 def _digits8(v):
@@ -172,73 +260,64 @@ def _filled(x):
     return (nz >> 7) * 0xFF
 
 
-def _layout_tables():
-    """Where %g puts the 17 digits, per slot: k + 11 for k = -11 .. 16,
-    then _ZERO and _OTHER.
+def _lanes(text, n=3):
+    """text as n little-endian uint64 lanes, padded with NUL bytes."""
+    return np.frombuffer(text.ljust(8 * n, b"\0"), dtype="<u8")
+
+
+def _layout_tables(shortest):
+    """Where the 17 digits go, per slot: k + 11 for k = -11 .. 16, then
+    _ZERO and _OTHER.  The layout is %g's, or float.__repr__'s when
+    shortest is true: that always shows a point and a digit after it in
+    fixed notation, uses exponent notation from k = 16 on, and writes
+    zero as 0.0.
 
     A value's text is a 24-byte field, three uint64 lanes: the sign at
-    byte 0, the digits d0..d16 at bytes 1..17 and the separator at byte
-    23.  Per slot there are four 3-lane tables and one shift: the bytes
-    that stay where they are; the point, shown only when the digit after
-    it is kept; fixed text; integer digits, kept even when zero; and how
-    many bits the bytes that do not stay move up.
+    byte 0, the digits d0..d16 at bytes 1..17 and the separator from
+    byte 23 on.  Per slot there are four 3-lane tables and one shift: the
+    bytes that stay where they are; the point, shown only when the digit
+    after it is kept; fixed text; integer digits, kept even when zero;
+    and how many bits the bytes that do not stay move up.
     """
-    def lanes(text):
-        return np.frombuffer(text.ljust(24, b"\0"), dtype="<u8")
-
-    none = lanes(b"")
+    none = _lanes(b"")
     rows, shifts = [], []
     for k in range(-11, 17):
-        if k >= 0:          # d0..dk.d(k+1)..
-            rows.append((lanes(b"\xff" * (k + 2)),
-                         lanes(b"\0" * (k + 2) + b"."), none,
-                         lanes(b"\0" + b"\xff" * (k + 1))))
+        if k < -4 or shortest and k == 16:      # d0.d1..e-XX
+            rows.append((_lanes(b"\xff" * 2), _lanes(b"\0\0."),
+                         _lanes(b"\0" * 19 + b"e%+03d" % k), none))
             shifts.append(8)
-        elif k >= -4:       # 0.000d0..
-            rows.append((none, none, lanes(b"\0" + b"0." + b"0" * (-k - 1)),
-                         none))
+        elif k >= 0:        # d0..dk.d(k+1)..
+            rows.append((_lanes(b"\xff" * (k + 2)),
+                         _lanes(b"\0" * (k + 2) + b"."), none,
+                         _lanes(b"\0" + b"\xff" * (k + 1 + shortest))))
+            shifts.append(8)
+        else:               # 0.000d0..
+            rows.append((none, none,
+                         _lanes(b"\0" + b"0." + b"0" * (-k - 1)), none))
             shifts.append(40)
-        else:               # d0.d1..e-XX
-            rows.append((lanes(b"\xff" * 2), lanes(b"\0\0."),
-                         lanes(b"\0" * 19 + b"e-%02d" % -k), none))
-            shifts.append(8)
-    for text in (b"\0" + b"0", b"\0" + b"\1"):    # _ZERO, _OTHER
-        rows.append((none, none, lanes(text), none))
+    for text in (b"\0" + (b"0.0" if shortest else b"0"),    # _ZERO
+                 b"\0" + b"\1"):                            # _OTHER
+        rows.append((none, none, _lanes(text), none))
         shifts.append(8)
     return (np.array(rows, dtype=np.uint64).transpose(1, 2, 0).copy(),
             np.array(shifts, dtype=np.uint64))
 
 
-_LAYOUT, _SHIFT = _layout_tables()
+_LAYOUT, _SHIFT = _layout_tables(shortest=False)
+_REPR_LAYOUT, _REPR_SHIFT = _layout_tables(shortest=True)
+# what follows each value: ',' and '\n' by turns (the two columns of a
+# CSV row), or the ',\n    ' between the items of an indented JSON array
+_CSV_SEPARATORS = np.array([_lanes(b"\0" * 23 + b","),
+                            _lanes(b"\0" * 23 + b"\n")])
+_JSON_SEPARATORS = np.array([_lanes(b"\0" * 23 + b",\n    ", 4)])
 
 
-def _format_rows(pairs):
-    """The rows '%.17g,%.17g\\n' % (a, v) for each (a, v) in pairs."""
-    x = pairs.ravel()
-    a = np.abs(x)
-    # exactly 10**-11 <= |x| < 10**17: the double 1e-11 is below 10**-11
-    covered = (a > 1e-11) & (a < 1e17)
-    y = np.where(covered, a, 1.0)
-    bits = y.view(np.uint64)
-    e = (bits >> 52).astype(np.int64) - 1075
-    m = bits & 0xFFFFFFFFFFFFF | 1 << 52
-    k = np.clip(np.floor(np.log10(y)), -11, 16).astype(np.int64)
-    d, up = _scaled(m, e, k)
-    # np.log10 can put k one off near a power of ten
-    step = (d >= 10 ** 17).astype(np.int64) - (d < 10 ** 16)
-    redo = np.flatnonzero(step)
-    if redo.size:
-        k[redo] += step[redo]
-        d[redo], up[redo] = _scaled(m[redo], e[redo], k[redo])
-    # no double in range rounds up to 1e17 here: the nearest one below
-    # each power of ten from 1e-10 to 1e17 is >= 4.5e-17 away in relative
-    # terms, and rounding to 17 digits carries only within 5e-18
-    d += up
-    slot = k + 11
-    slot[~covered] = _OTHER
-    slot[a == 0] = _ZERO
-    d[slot >= _ZERO] = 0
-
+def _lay_out(x, d, slot, layout, shifts, separators, fallback):
+    """The text of each x from its digits, the 17-digit integer d, laid
+    out by the tables of its slot and followed by its separator, the
+    rows of separators taken in turn; fallback formats the x of slot
+    _OTHER."""
+    d = np.where(slot < _ZERO, d, 0)
     # three lanes of digit values: a zero for the sign, d0..d6; d7..d14;
     # d15 d16
     h = d // 10 ** 10
@@ -251,23 +330,42 @@ def _format_rows(pairs):
     keep = _filled(digits)
     keep[1] |= (keep[2] != 0) * _ALL
     keep[0] |= (keep[1] != 0) * _ALL
-    stay, point, text, integer = _LAYOUT.take(slot, axis=2)
+    stay, point, text, integer = layout.take(slot, axis=2)
     keep |= integer
     chars = (digits | _ASCII) & keep
     moved = chars & ~stay
-    shift = _SHIFT.take(slot)
+    shift = shifts.take(slot)
     out = chars & stay | keep & point | text | moved << shift
     out[1:] |= moved[:-1] >> (64 - shift)
     out[0] |= (x.view(np.uint64) >> 63) * (slot != _OTHER) * ord("-")
-    out[2].reshape(-1, 2)[:] |= _SEPARATORS
-    rows = out.T.astype("<u8", copy=False).tobytes().translate(None, b"\0")
-    rows = rows.decode("ascii")
+    fields = np.tile(separators, (x.size // len(separators), 1))
+    fields[:, :3] |= out.T
+    rows = fields.tobytes().translate(None, b"\0").decode("ascii")
     other = x[slot == _OTHER]
     if other.size:      # each such value left one \1 in its place
         pieces = rows.split("\1")
-        rows = pieces[0] + "".join("%.17g" % v + piece for v, piece
+        rows = pieces[0] + "".join(fallback(v) + piece for v, piece
                                    in zip(other.tolist(), pieces[1:]))
     return rows
+
+
+def _format_rows(pairs):
+    """The rows '%.17g,%.17g\\n' % (a, v) for each (a, v) in pairs."""
+    x = pairs.ravel()
+    *_, d, up, _, slot = _decimal(x)
+    # no double in range rounds up to 1e17 here: the nearest one below
+    # each power of ten from 1e-10 to 1e17 is >= 4.5e-17 away in relative
+    # terms, and rounding to 17 digits carries only within 5e-18
+    return _lay_out(x, d + up, slot, _LAYOUT, _SHIFT, _CSV_SEPARATORS,
+                    "%.17g".__mod__)
+
+
+def _json_items(x):
+    """json.dumps(float(v)) for each v in x, each followed by ',\\n    '."""
+    m, e, k, d, up, exact, slot = _decimal(x)
+    d, carry = _shortest(m, e, k, d, up, exact)
+    return _lay_out(x, d, slot + carry, _REPR_LAYOUT, _REPR_SHIFT,
+                    _JSON_SEPARATORS, json.dumps)
 
 
 def write_csv(stream, name, axis_label, axis, values):
@@ -291,17 +389,14 @@ def write_json(stream, name, axis_label, axis, values):
     }, indent=2)
     stream.write(header[:-2])           # reopen the object: drop "\n}"
     for key, data in (("t", axis), ("value", values)):
-        stream.write(f',\n  "{key}": [')
-        # json.dump(indent=2) runs the pure-Python encoder; the C encoder
-        # (indent=None) separates items by ", ", which no float, NaN or
-        # Infinity contains, so replacing it gives the indented layout
-        sep = "\n    "
-        for i in range(0, len(data), _ROWS):
-            chunk = np.asarray(data[i:i + _ROWS], dtype=float).tolist()
-            stream.write(sep + json.dumps(chunk)[1:-1].replace(
-                ", ", ",\n    "))
-            sep = ",\n    "
-        stream.write("\n  ]" if len(data) else "]")
+        n = len(data)
+        stream.write(f',\n  "{key}": [' + ("\n    " if n else ""))
+        for i in range(0, n, _ROWS):
+            items = _json_items(np.asarray(data[i:i + _ROWS], dtype=float))
+            # the last item is followed by the closing bracket instead
+            stream.write(items if i + _ROWS < n
+                         else items.removesuffix(",\n    ") + "\n  ")
+        stream.write("]")
     stream.write("\n}\n")
 
 

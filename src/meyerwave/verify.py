@@ -302,21 +302,24 @@ def run_verification(grid_dt=1.0 / 64.0, grid_span=16.0,
 
     grid_dt/grid_span/cutoff configure the discrete signal checks only;
     spectral and closed-form checks use their own canonical grids.  Before
-    any check runs, an invalid grid raises signals.InvalidGrid, a grid too
-    coarse for the wavelet band signals.GridTooCoarse, and a cutoff or
-    tolerance scale that is not positive and finite ValueError.
+    any check runs, an invalid grid raises signals.InvalidGrid (so does
+    a step so fine that the DFT bin frequencies are not finite), a grid
+    too coarse for the wavelet band signals.GridTooCoarse, and a cutoff
+    or tolerance scale that is not positive and finite ValueError.
     """
     n = signals.symmetric_grid(grid_span, grid_dt)
     signals.require_cutoff(cutoff)
     require_tolerance_scale(tolerance_scale)
     sig = signals.sample(closed_form.psi, -grid_span, grid_dt, n)
     signals.require_fine_grid(sig)
+    signals._bin_frequencies(sig)       # a step too fine for the DFT
     checks = [Check(name, value, tol * tolerance_scale)
               for section in (_spectral_checks(), _closed_form_checks(),
                               _oracle_checks(), _signal_checks(sig, cutoff),
                               _export_checks())
               for name, value, tol in section]
-    description = (f"signal grid t in [{-grid_span}, {grid_span}], "
+    end = float(sig.times[-1])      # +grid_span only if span/dt is whole
+    description = (f"signal grid t in [{-grid_span}, {end}], "
                    f"dt={grid_dt}, cutoff={cutoff}; normalization grid "
                    f"t in [{NORM_T_START}, {NORM_T_END}], dt={NORM_DT}")
     return VerificationReport(

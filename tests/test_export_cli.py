@@ -226,6 +226,80 @@ class TestCsvDigits:
             self.assert_csv_bytes(x)
 
 
+class TestJsonDigits:
+    """The vectorized shortest round-trip digits against json.dump."""
+
+    @staticmethod
+    def assert_json_bytes(x):
+        x = np.asarray(x, dtype=float)
+        assert_same_bytes(export.write_json, reference_write_json,
+                          x[0::2], x[1::2])
+
+    @staticmethod
+    def items(x):
+        """The items of the "t" array that write_json writes for x."""
+        text = written(export.write_json, np.asarray(x, dtype=float), [0.0])
+        return text.split('"t": [\n    ')[1].split("\n  ]")[0].split(
+            ",\n    ")
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20261018)
+        bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+        self.assert_json_bytes(bits.view(np.float64))
+
+    def test_exact_ties_at_the_shortest_length(self):
+        # n / 8 with n = 2 mod 4 in [2**52, 2**53) ends in .25 or .75, and
+        # its rounding interval is +-1/16 wide: both one-decimal neighbours
+        # read back, at the same distance, and the even one is written
+        rng = np.random.default_rng(11)
+        n = rng.integers(2 ** 50, 2 ** 51, 20_000) * 4 + 2
+        ties = n.astype(np.float64) / 8.0
+        assert np.all(ties * 8.0 == n)
+        self.assert_json_bytes(np.concatenate([ties, -ties]))
+        assert self.items([867132011677835.75, 867132011677835.25]) == [
+            "867132011677835.8", "867132011677835.2"]
+
+    def test_powers_of_two_with_the_narrow_lower_gap(self):
+        # at M = 2**52 the double below is half as far as the one above;
+        # every such power of two in the vectorized range, 2**-36 .. 2**56,
+        # and its neighbours
+        p = np.ldexp(1.0, np.arange(-36, 57))
+        near = np.concatenate([p, np.nextafter(p, 0.0),
+                               np.nextafter(p, np.inf)])
+        self.assert_json_bytes(np.concatenate([near, -near]))
+
+    def test_repr_layout_switches(self):
+        cases = [(0.0001, "0.0001"), (1e-05, "1e-05"),
+                 (0.00012, "0.00012"), (1.2e-05, "1.2e-05"),
+                 (1234567890123456.0, "1234567890123456.0"),
+                 (1e16, "1e+16"), (1.5e16, "1.5e+16"), (100.0, "100.0"),
+                 (0.5, "0.5"), (1e-06, "1e-06"), (-2.5, "-2.5"),
+                 (0.0, "0.0"), (-0.0, "-0.0")]
+        values, texts = zip(*cases)
+        assert self.items(values) == list(texts)
+        p = np.array([float(f"1e{e}") for e in range(-12, 19)])
+        near = np.concatenate([p, np.nextafter(p, 0.0),
+                               np.nextafter(p, np.inf)])
+        self.assert_json_bytes(np.concatenate([near, -near, values]))
+
+    def test_zero_and_the_ends_of_the_vectorized_range(self):
+        # 1e-11 and 1e17 themselves go to the fallback, their inner
+        # neighbours do not
+        ends = [1e-11, np.nextafter(1e-11, 1.0), 1e17,
+                np.nextafter(1e17, 0.0), 0.0, -0.0]
+        self.assert_json_bytes(np.concatenate([ends, np.negative(ends)]))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_fallback_values_in_any_chunk(self, rows):
+        tiny = np.finfo(float).tiny
+        x = np.linspace(-3.0, 5.0, 4 * rows + 6)
+        fallback = [math.nan, math.inf, -math.inf, 5e-324, -tiny / 3,
+                    tiny, -1e-300, np.finfo(float).max, 3e17, 0.0]
+        x[::3] = np.resize(fallback, x[::3].size)
+        with mock.patch.object(export, "_ROWS", rows):
+            self.assert_json_bytes(x)
+
+
 @st.composite
 def sample_argv(draw):
     """A `sample` request with |t| <= 20 or <= 1e300 and at most 2,000

@@ -85,10 +85,41 @@ class TestReport:
             assert name in table
 
 
+SECTIONS = ("_spectral_checks", "_closed_form_checks", "_oracle_checks",
+            "_signal_checks", "_export_checks")
+
+
 class TestCoarseGrid:
     def test_coarse_grid_raises_before_any_check(self):
         with pytest.raises(signals.GridTooCoarse):
             verify.run_verification(grid_dt=0.5)
+
+    def test_step_too_fine_for_the_dft_raises_before_any_check(
+            self, monkeypatch):
+        # at span = dt = 5e-324 the grid has 3 points, but 1/(n*dt)
+        # overflows and the DFT bin frequencies are not finite
+        ran = []
+        for name in SECTIONS:
+            monkeypatch.setattr(verify, name,
+                                lambda *_, name=name: ran.append(name) or ())
+        with pytest.raises(signals.InvalidGrid, match="not finite"):
+            verify.run_verification(grid_dt=5e-324, grid_span=5e-324)
+        assert ran == []
+
+
+class TestGridDescription:
+    def test_default_grid_ends_at_its_span(self, report):
+        assert report.grid_description.startswith(
+            "signal grid t in [-16.0, 16.0], dt=0.015625, ")
+
+    def test_states_the_last_sample(self):
+        # 10.3 / 0.03 rounds to 343 steps a side: the last sample is
+        # -10.3 + 686 * 0.03, about 10.28, not 10.3
+        end = -10.3 + 686 * 0.03
+        assert end == pytest.approx(10.28, abs=1e-12)
+        report = verify.run_verification(grid_span=10.3, grid_dt=0.03)
+        assert report.grid_description.startswith(
+            f"signal grid t in [-10.3, {end}], dt=0.03, ")
 
 
 class TestCliVerify:
