@@ -1,9 +1,11 @@
 """Command-line front end: sample/export waveforms, verify, decompose.
 
 Exit codes: 0 success (and verification pass), 1 verification failure,
-2 usage error (including an output that cannot be written and a step too
-small for the DFT bins to be finite).  The oracles do fixed work per
-point, so an oracle point at any |t| up to ~2e307 is sampled.
+2 usage error (including an unknown option, an output that cannot be
+written and a step too small for the DFT bins to be finite).  There is no
+--cutoff or --tolerance-scale: the decomposition's low-pass cutoff is
+fixed and every verify tolerance is nominal.  The oracles do fixed work
+per point, so an oracle point at any |t| up to ~2e307 is sampled.
 """
 
 import argparse
@@ -34,15 +36,10 @@ def build_parser():
     p_sample.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sample.add_argument("--output", default=None,
                           help="output path (default stdout)")
-    p_sample.add_argument("--cutoff", type=float,
-                          default=signals.DEFAULT_CUTOFF)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--grid-dt", type=float, default=1.0 / 64.0)
     p_verify.add_argument("--grid-span", type=float, default=16.0)
-    p_verify.add_argument("--cutoff", type=float,
-                          default=signals.DEFAULT_CUTOFF)
-    p_verify.add_argument("--tolerance-scale", type=float, default=1.0)
     p_verify.add_argument("--output", default=None,
                           help="write the JSON report here")
 
@@ -54,7 +51,6 @@ def build_parser():
     p_dec.add_argument("--format", choices=("csv", "json"), default="csv")
     p_dec.add_argument("--grid-dt", type=float, default=1.0 / 64.0)
     p_dec.add_argument("--grid-span", type=float, default=16.0)
-    p_dec.add_argument("--cutoff", type=float, default=signals.DEFAULT_CUTOFF)
     return parser
 
 
@@ -70,16 +66,14 @@ def _write_series(path, fmt, name, label, axis, values):
 def _cmd_sample(args):
     req = export.ExportRequest(args.function, args.t_start, args.t_end,
                                args.step)
-    label, axis, values = export.evaluate_series(req, cutoff=args.cutoff)
+    label, axis, values = export.evaluate_series(req)
     _write_series(args.output, args.format, args.function, label, axis, values)
     return EXIT_OK
 
 
 def _cmd_verify(args):
     report = verify.run_verification(grid_dt=args.grid_dt,
-                                     grid_span=args.grid_span,
-                                     cutoff=args.cutoff,
-                                     tolerance_scale=args.tolerance_scale)
+                                     grid_span=args.grid_span)
     print(report.render_table())
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -90,7 +84,7 @@ def _cmd_verify(args):
 def _cmd_decompose(args):
     n = signals.symmetric_grid(args.grid_span, args.grid_dt)
     sig = signals.sample(closed_form.psi, -args.grid_span, args.grid_dt, n)
-    s_c, s_s = signals.decompose_quadrature(sig, args.cutoff)
+    s_c, s_s = signals.decompose_quadrature(sig)
     rebuilt = signals.reconstruct_quadrature(s_c, s_s)
     error = rebuilt.samples - sig.samples
     t = sig.times

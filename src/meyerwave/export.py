@@ -105,7 +105,7 @@ def _psi_signal(t, step):
     return sig
 
 
-# name -> (axis label, evaluator(t, step, cutoff)), in the CLI's
+# name -> (axis label, evaluator(t, step)), in the CLI's
 # choices order.  Evaluators look library functions up through their
 # module on each call, so that a replaced module attribute takes effect.
 SERIES = {
@@ -116,12 +116,12 @@ SERIES = {
     "phi_spectrum": ("w", lambda t, *_: spectral.scale_spectrum(t)),
     "psi_spectrum_magnitude":
         ("w", lambda t, *_: spectral.wavelet_spectrum_magnitude(t)),
-    "envelope": ("t", lambda t, step, *_:
+    "envelope": ("t", lambda t, step:
                  signals.envelope(_psi_signal(t, step)).samples),
-    "s_c": ("t", lambda t, step, cutoff: signals.decompose_quadrature(
-        _psi_signal(t, step), cutoff)[0].samples),
-    "s_s": ("t", lambda t, step, cutoff: signals.decompose_quadrature(
-        _psi_signal(t, step), cutoff)[1].samples),
+    "s_c": ("t", lambda t, step: signals.decompose_quadrature(
+        _psi_signal(t, step))[0].samples),
+    "s_s": ("t", lambda t, step: signals.decompose_quadrature(
+        _psi_signal(t, step))[1].samples),
     "phi_oracle": ("t", lambda t, *_: quadrature.phi_oracle(t)),
     "psi_oracle": ("t", lambda t, *_: quadrature.psi_oracle(t)),
 }
@@ -131,11 +131,11 @@ SPECTRUM_FUNCTIONS = tuple(name for name, (label, _) in SERIES.items()
                            if label == "w")
 
 
-def evaluate_series(req, cutoff=signals.DEFAULT_CUTOFF):
+def evaluate_series(req):
     """Evaluate the requested series; returns (axis_label, axis, values)."""
     t = grid_points(req.t_start, req.t_end, req.step)
     label, evaluate = SERIES[req.function]
-    return label, t, evaluate(t, req.step, cutoff)
+    return label, t, evaluate(t, req.step)
 
 
 _ROWS = 1 << 13      # rows per formatted chunk and per stream.write

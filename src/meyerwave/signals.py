@@ -36,16 +36,19 @@ from functools import cached_property
 import numpy as np
 
 CARRIER = 2.0 * np.pi            # synchronous-detection carrier w0
-DEFAULT_CUTOFF = 2.0 * np.pi     # valid anywhere in (4pi/3, 8pi/3)
+# Fixed decomposition low-pass: the mixed baseband [-4pi/3, 2pi/3] and its
+# image [-14pi/3, -8pi/3] separate at any cutoff in [4pi/3, 8pi/3); 2pi is
+# the midpoint.
+CUTOFF = 2.0 * np.pi
 MAX_GRID_DT = 3.0 / 8.0          # Nyquist must exceed the 8pi/3 band edge
 INTERIOR_FRACTION = 0.8          # window used when quoting interior errors
 MAX_GRID_POINTS = 10_000_000     # budget for any grid sized from user input
 
 __all__ = [
-    "CARRIER", "DEFAULT_CUTOFF", "MAX_GRID_DT", "INTERIOR_FRACTION",
+    "CARRIER", "CUTOFF", "MAX_GRID_DT", "INTERIOR_FRACTION",
     "MAX_GRID_POINTS", "InvalidGrid", "GridTooCoarse", "GridMismatch",
     "SampledSignal",
-    "symmetric_grid", "sample", "require_fine_grid", "require_cutoff",
+    "symmetric_grid", "sample", "require_fine_grid",
     "dft", "idft", "lowpass", "hilbert",
     "decompose_quadrature", "reconstruct_quadrature",
     "scale_from_wavelet", "envelope", "interior_slice",
@@ -152,7 +155,7 @@ def idft(s, coefficients):
     return s.replace_samples(np.fft.ifft(coefficients).real)
 
 
-def require_cutoff(cutoff):
+def _require_cutoff(cutoff):
     """Raise ValueError unless the low-pass cutoff is positive and finite.
 
     A NaN cutoff would mask no bin (|w| > nan is false) and an infinite
@@ -164,7 +167,7 @@ def require_cutoff(cutoff):
 
 def lowpass(s, cutoff):
     """Ideal brick-wall low-pass: zero every DFT bin beyond the cutoff."""
-    require_cutoff(cutoff)
+    _require_cutoff(cutoff)
     freqs, coefficients = dft(s)
     coefficients[np.abs(freqs) > cutoff] = 0.0
     return idft(s, coefficients)
@@ -189,17 +192,17 @@ def require_fine_grid(s):
             f"dt={s.dt} cannot represent the 8pi/3 band edge; need dt < 3/8")
 
 
-def decompose_quadrature(psi_s, cutoff=DEFAULT_CUTOFF):
+def decompose_quadrature(psi_s):
     """Split the band-pass wavelet into baseband in-phase/quadrature parts.
 
     The mixer halves the baseband amplitude, so the product is doubled
     before filtering; reconstruct_quadrature is then unit-gain.  Both
     components come from one low-passed complex baseband,
-    s_c - j s_s = LP[2 psi exp(-j w0 t)], at the true grid abscissas.
+    s_c - j s_s = LP[2 psi exp(-j w0 t)], at the true grid abscissas,
+    where LP cuts at CUTOFF.
     """
     require_fine_grid(psi_s)
-    require_cutoff(cutoff)
-    beyond = np.abs(_bin_frequencies(psi_s)) > cutoff
+    beyond = np.abs(_bin_frequencies(psi_s)) > CUTOFF
     angle = CARRIER * psi_s.times
     mixed = np.empty(angle.size, dtype=complex)
     mixed.real = np.cos(angle)

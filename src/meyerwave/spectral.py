@@ -19,7 +19,7 @@ product identity) hold to machine precision.
 
 import numpy as np
 
-SQRT_2PI = np.sqrt(2.0 * np.pi)
+SQRT_2PI = float(np.sqrt(2.0 * np.pi))  # a float, as scalar results are
 
 # Band edges of the piecewise-trigonometric spectra.
 W_LO = 2.0 * np.pi / 3.0   # end of the flat scale band / start of wavelet support

@@ -35,8 +35,7 @@ DECAY_FIT_RANGE = (5.0, 50.0)
 DECAY_SAMPLES_PER_UNIT = 512
 DECAY_BLOCK_WIDTH = 1.5
 
-__all__ = ["Check", "VerificationReport", "run_verification",
-           "require_tolerance_scale", "decay_slope",
+__all__ = ["Check", "VerificationReport", "run_verification", "decay_slope",
            "ORACLE_COMPARE_TOL"]
 
 
@@ -154,7 +153,7 @@ def _spectral_checks():
     energy = quadrature._gauss_legendre_integrals(
         lambda w: spectral.scale_spectrum(w)**2,
         (-W_MID, -W_LO, W_LO, W_MID), np.zeros(1))[0]
-    yield ("spectral_energy", abs(energy - 1.0), 1e-8)
+    yield ("spectral_energy", abs(float(energy) - 1.0), 1e-8)
 
 
 def _closed_form_checks():
@@ -236,7 +235,7 @@ def _oracle_checks():
            1e-3)
 
 
-def _signal_checks(sig, cutoff):
+def _signal_checks(sig):
     n = sig.samples.size
     t = sig.times
     inner = signals.interior_slice(n)
@@ -258,7 +257,7 @@ def _signal_checks(sig, cutoff):
     yield ("hilbert_involution",
            float(np.max(np.abs(twice.samples + tone.samples))), 1e-10)
 
-    s_c, s_s = signals.decompose_quadrature(sig, cutoff)
+    s_c, s_s = signals.decompose_quadrature(sig)
     rebuilt = signals.reconstruct_quadrature(s_c, s_s)
     yield ("quadrature_reconstruction_closure",
            float(np.max(np.abs(rebuilt.samples - sig.samples)[inner])), 1e-3)
@@ -284,44 +283,29 @@ def _export_checks():
     yield ("csv_round_trip", diff, 0.0)
 
 
-def require_tolerance_scale(scale):
-    """Raise ValueError unless the tolerance scale is positive and finite.
-
-    Every tolerance is multiplied by it: NaN would fail every check, and
-    zero or a negative scale would fail all but the exactly-zero ones, so
-    a usage error would read as a verification failure.
-    """
-    if not 0.0 < scale < np.inf:
-        raise ValueError(f"tolerance scale must be positive and finite, "
-                         f"got {scale}")
-
-
-def run_verification(grid_dt=1.0 / 64.0, grid_span=16.0,
-                     cutoff=signals.DEFAULT_CUTOFF, tolerance_scale=1.0):
+def run_verification(grid_dt=1.0 / 64.0, grid_span=16.0):
     """Run every library invariant and assemble a VerificationReport.
 
-    grid_dt/grid_span/cutoff configure the discrete signal checks only;
-    spectral and closed-form checks use their own canonical grids.  Before
-    any check runs, an invalid grid raises signals.InvalidGrid (so does
-    a step so fine that the DFT bin frequencies are not finite), a grid
-    too coarse for the wavelet band signals.GridTooCoarse, and a cutoff
-    or tolerance scale that is not positive and finite ValueError.
+    grid_dt/grid_span configure the discrete signal checks only; spectral
+    and closed-form checks use their own canonical grids.  Every check
+    keeps its nominal tolerance.  Before any check runs, an invalid grid
+    raises signals.InvalidGrid (so does a step so fine that the DFT bin
+    frequencies are not finite) and a grid too coarse for the wavelet band
+    signals.GridTooCoarse.
     """
     n = signals.symmetric_grid(grid_span, grid_dt)
-    signals.require_cutoff(cutoff)
-    require_tolerance_scale(tolerance_scale)
     sig = signals.sample(closed_form.psi, -grid_span, grid_dt, n)
     signals.require_fine_grid(sig)
     signals._bin_frequencies(sig)       # a step too fine for the DFT
-    checks = [Check(name, value, tol * tolerance_scale)
+    checks = [Check(*check)
               for section in (_spectral_checks(), _closed_form_checks(),
-                              _oracle_checks(), _signal_checks(sig, cutoff),
+                              _oracle_checks(), _signal_checks(sig),
                               _export_checks())
-              for name, value, tol in section]
+              for check in section]
     end = float(sig.times[-1])      # +grid_span only if span/dt is whole
     description = (f"signal grid t in [{-grid_span}, {end}], "
-                   f"dt={grid_dt}, cutoff={cutoff}; normalization grid "
-                   f"t in [{NORM_T_START}, {NORM_T_END}], dt={NORM_DT}")
+                   f"dt={grid_dt}, cutoff={signals.CUTOFF}; normalization "
+                   f"grid t in [{NORM_T_START}, {NORM_T_END}], dt={NORM_DT}")
     return VerificationReport(
         checks=tuple(checks),
         grid_description=description,

@@ -354,7 +354,7 @@ class TestSampleArgvProperty:
             assert len(payload["t"]) == len(payload["value"]) == rows
 
 
-# Values no grid, cutoff or scale may take, and one each that is tiny.
+# Values no grid may take, and one each that is tiny.
 SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
                            5e-324, 1e-310])
 
@@ -366,12 +366,8 @@ def grid_argv(draw, command):
     span = draw(st.one_of(SPECIAL, st.floats(1e-3, 64.0)))
     finest = span / 1e5 if 0.0 < span < math.inf else 1e-3
     dt = draw(st.one_of(SPECIAL, st.floats(finest, 2.0)))
-    cutoff = draw(st.one_of(SPECIAL, st.floats(0.5, 50.0)))
-    options = [("--grid-span", span), ("--grid-dt", dt), ("--cutoff", cutoff)]
-    if command == "verify":
-        options.append(("--tolerance-scale",
-                        draw(st.one_of(SPECIAL, st.floats(1e-6, 1e6)))))
-    else:
+    options = [("--grid-span", span), ("--grid-dt", dt)]
+    if command == "decompose":
         options.append(("--format", draw(st.sampled_from(["csv", "json"]))))
     argv = [command]
     for flag, value in options:
@@ -397,18 +393,10 @@ class TestGridArgvProperty:
     @given(argv=grid_argv("verify"))
     @example(argv=["verify", "--grid-span=5e-324", "--grid-dt=5e-324"])
     @example(argv=["verify", "--grid-dt=0.5"])
-    @example(argv=["verify", "--tolerance-scale=nan"])
-    @example(argv=["verify", "--tolerance-scale=-1.0"])
-    @example(argv=["verify", "--tolerance-scale=-0.0"])
-    @example(argv=["verify", "--tolerance-scale=inf"])
     def test_verify(self, tmp_path_factory, argv):
         out = tmp_path_factory.mktemp("verify") / "report.json"
         code = self.run(argv, out)
         assert code in (0, 1, 2)
-        scale = [float(a.partition("=")[2]) for a in argv
-                 if a.startswith("--tolerance-scale=")]
-        if scale and not 0.0 < scale[0] < math.inf:
-            assert code == 2
         if code == 2:
             assert not out.exists()
             return
@@ -517,37 +505,22 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("cutoff", ["nan", "inf", "0", "-1"])
+    # the low-pass cutoff is fixed and every tolerance nominal: neither
+    # option exists, so argparse rejects it before anything runs
     @pytest.mark.parametrize("argv", [
-        ["decompose", "--grid-dt", "0.0625", "--grid-span", "4"],
-        ["verify"],
         ["sample", "--function", "s_c", "--from", "-4", "--to", "4",
-         "--step", "0.0625"]], ids=["decompose", "verify", "sample_s_c"])
-    def test_bad_cutoff_is_usage_error(self, tmp_path, capsys, argv, cutoff):
-        # a NaN cutoff used to disable the filter: exit 0 with unfiltered
-        # output, or exit 1 from verify as if a check had failed
+         "--step", "0.0625", "--cutoff", "6"],
+        ["verify", "--cutoff", "6"],
+        ["decompose", "--cutoff", "6"],
+        ["verify", "--tolerance-scale", "1e4"]],
+        ids=["sample_cutoff", "verify_cutoff", "decompose_cutoff",
+             "verify_tolerance_scale"])
+    def test_removed_option_is_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
-        assert main(argv + ["--output", str(out), f"--cutoff={cutoff}"]) == 2
-        captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: cutoff")
-        assert captured.out == ""
-        assert not out.exists()
-
-    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "-0",
-                                       "-1"])
-    def test_bad_tolerance_scale_is_usage_error(self, tmp_path, capsys,
-                                                scale):
-        # NaN used to fail all 28 checks with exit 1, and -1 let
-        # csv_round_trip pass at tolerance -0.0
-        out = tmp_path / "r.json"
-        assert main(["verify", "--output", str(out),
-                     f"--tolerance-scale={scale}"]) == 2
-        captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(
-            "error: tolerance scale")
-        assert captured.out == ""
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--output", str(out)])
+        assert exc_info.value.code == 2
+        assert capsys.readouterr().out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["phi_oracle", "psi_oracle"])

@@ -8,9 +8,7 @@ from meyerwave.signals import (GridMismatch, GridTooCoarse, InvalidGrid,
                                envelope, hilbert, idft, interior_slice,
                                lowpass, reconstruct_quadrature, sample,
                                scale_from_wavelet, symmetric_grid)
-from meyerwave.signals import CARRIER, DEFAULT_CUTOFF, MAX_GRID_POINTS
-
-BAD_CUTOFFS = [np.nan, np.inf, 0.0, -1.0]
+from meyerwave.signals import CARRIER, CUTOFF, MAX_GRID_POINTS
 
 
 def tone_grid(n=256, dt=1.0 / 32.0, t0=0.0):
@@ -138,7 +136,7 @@ class TestLowpass:
         out = lowpass(s, np.pi / s.dt)
         assert np.max(np.abs(out.samples - s.samples)) < 1e-12
 
-    @pytest.mark.parametrize("cutoff", BAD_CUTOFFS)
+    @pytest.mark.parametrize("cutoff", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_cutoff_not_positive_and_finite(self, cutoff):
         # a NaN cutoff would mask no bin and leave the signal unfiltered
         s = make_tone(24, kind="sin")
@@ -184,12 +182,12 @@ class TestHilbert:
         assert np.max(np.abs(hilbert(s).samples)) <= 1e-15
 
 
-def reference_decompose(psi_s, cutoff):
+def reference_decompose(psi_s):
     """Decomposition by two real low-passes, one per carrier phase."""
     doubled = 2.0 * psi_s.samples
     t = psi_s.times
-    s_c = lowpass(psi_s.replace_samples(doubled * np.cos(CARRIER * t)), cutoff)
-    s_s = lowpass(psi_s.replace_samples(doubled * np.sin(CARRIER * t)), cutoff)
+    s_c = lowpass(psi_s.replace_samples(doubled * np.cos(CARRIER * t)), CUTOFF)
+    s_s = lowpass(psi_s.replace_samples(doubled * np.sin(CARRIER * t)), CUTOFF)
     return s_c, s_s
 
 
@@ -197,26 +195,17 @@ class TestDecomposeMatchesTwoLowpasses:
     dt = 1.0 / 64.0
 
     # t0 is a quarter carrier period plus a fraction of dt off the grid
-    # k*dt, so a mixer that ignored t0 would be off by O(1); pi/dt is the
-    # Nyquist frequency, whose bin only an even n has
-    @pytest.mark.parametrize("n, cutoff", [
-        (2049, DEFAULT_CUTOFF), (2048, DEFAULT_CUTOFF),
-        (2048, np.pi * 64.0), (2049, 3.0 * np.pi)],
-        ids=["odd", "even", "even_nyquist", "odd_wide"])
-    def test_within_1e_15(self, n, cutoff):
+    # k*dt, so a mixer that ignored t0 would be off by O(1); only an even
+    # n has a Nyquist bin, which CUTOFF masks
+    @pytest.mark.parametrize("n", [2049, 2048], ids=["odd", "even"])
+    def test_within_1e_15(self, n):
         sig = sample(closed_form.psi, -15.75 + 0.37 * self.dt, self.dt, n)
-        s_c, s_s = decompose_quadrature(sig, cutoff)
-        ref_c, ref_s = reference_decompose(sig, cutoff)
+        s_c, s_s = decompose_quadrature(sig)
+        ref_c, ref_s = reference_decompose(sig)
         assert np.max(np.abs(s_c.samples - ref_c.samples)) <= 1e-15
         assert np.max(np.abs(s_s.samples - ref_s.samples)) <= 1e-15
         for out in (s_c, s_s):
             assert (out.t0, out.dt) == (sig.t0, sig.dt)
-
-    @pytest.mark.parametrize("cutoff", BAD_CUTOFFS)
-    def test_rejects_cutoff_not_positive_and_finite(self, cutoff):
-        sig = sample(closed_form.psi, -4.0, self.dt, 513)
-        with pytest.raises(ValueError, match="cutoff"):
-            decompose_quadrature(sig, cutoff)
 
 
 class TestHilbertCache:
@@ -292,10 +281,9 @@ class TestDecomposition:
 
     def test_components_band_limited(self):
         sig = self.wavelet_signal()
-        cutoff = 2.0 * np.pi
-        s_c, _ = decompose_quadrature(sig, cutoff)
+        s_c, _ = decompose_quadrature(sig)
         freqs, coefficients = dft(s_c)
-        high = np.abs(coefficients[np.abs(freqs) > cutoff])
+        high = np.abs(coefficients[np.abs(freqs) > CUTOFF])
         assert np.max(high, initial=0.0) <= 1e-9 * np.max(np.abs(coefficients))
 
     def test_single_branch_reconstruction(self):

@@ -70,9 +70,9 @@ class TestReport:
             "quadrature_scheme_independence"]
         assert 0.0 < check.value <= check.tolerance
 
-    def test_tolerance_scale_applies(self, report):
-        scaled = verify.run_verification(tolerance_scale=1e12)
-        assert all(c.passed for c in scaled.checks)
+    def test_values_are_floats(self, report):
+        for c in report.checks:
+            assert type(c.value) is float, c.name
 
     def test_json_round_trips(self, report):
         payload = json.loads(report.to_json())
@@ -149,6 +149,32 @@ class TestCliVerify:
         assert "scale_identity_closure" in by_name
 
 
+# (module, attribute, corruption of the original, the check it fails),
+# each commented with the check's value under the corruption
+CORRUPTIONS = [
+    # ~1e-12
+    (spectral, "nu", lambda f: lambda x: f(x) * (1.0 + 1e-12),
+     "nu_complementarity"),
+    # ~1.6e-7
+    (spectral, "scale_spectrum",
+     lambda f: lambda w: f(w) * math.sqrt(1.0 + 1e-6),
+     "partition_of_unity_scale"),
+    # ~1.6e-9
+    (closed_form, "phi", lambda f: lambda t: f(t) + 1e-10 * np.asarray(t),
+     "phi_even_symmetry"),
+    # ~1.6e-9
+    (closed_form, "psi",
+     lambda f: lambda t: f(t) + 1e-10 * (np.asarray(t) - 0.5),
+     "psi_center_symmetry"),
+    # ~9.7e-3
+    (verify, "phi_oracle",
+     lambda f: lambda t: f(t) + 1e-2 * (np.asarray(t) == 30.0),
+     "oracle_tail_decay"),
+    # ~2.96: H[H[x]] + x becomes 2x
+    (signals, "hilbert", lambda f: lambda s: s, "hilbert_involution"),
+]
+
+
 class TestChecksCanFail:
     """A targeted corruption flips the named check to FAIL."""
 
@@ -220,10 +246,12 @@ class TestChecksCanFail:
         assert not self.verdict("parseval").passed
 
     @pytest.mark.parametrize("name", ["partition_of_unity_scale_wavelet",
-                                      "spectral_product_identity"])
+                                      "spectral_product_identity",
+                                      "littlewood_paley_two_scale",
+                                      "oracle_integrand_consistency"])
     def test_wavelet_identities_see_a_scaled_magnitude(self, monkeypatch,
                                                        name):
-        # ~3e-10 and ~4e-10 off
+        # ~3e-10, ~4e-10, ~3e-10 and ~3e-10 off
         original = spectral.wavelet_spectrum_magnitude
         monkeypatch.setattr(spectral, "wavelet_spectrum_magnitude",
                             lambda w: original(w) * (1.0 + 1e-9))
@@ -258,3 +286,10 @@ class TestChecksCanFail:
 
         monkeypatch.setattr(signals, "reconstruct_quadrature", scaled)
         assert not self.verdict("quadrature_reconstruction_closure").passed
+
+    @pytest.mark.parametrize("module, attr, corrupt, check", CORRUPTIONS,
+                             ids=[case[-1] for case in CORRUPTIONS])
+    def test_corruption_fails_its_check(self, monkeypatch, module, attr,
+                                        corrupt, check):
+        monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
+        assert not self.verdict(check).passed
