@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import closed_form, export, signals, verify
+from .verify import DEFAULT_GRID_DT, DEFAULT_GRID_SPAN
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -38,8 +39,8 @@ def build_parser():
                           help="output path (default stdout)")
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--grid-dt", type=float, default=1.0 / 64.0)
-    p_verify.add_argument("--grid-span", type=float, default=16.0)
+    p_verify.add_argument("--grid-dt", type=float, default=DEFAULT_GRID_DT)
+    p_verify.add_argument("--grid-span", type=float, default=DEFAULT_GRID_SPAN)
     p_verify.add_argument("--output", default=None,
                           help="write the JSON report here")
 
@@ -49,8 +50,8 @@ def build_parser():
     p_dec.add_argument("--output", default=".",
                        help="output directory for the exported files")
     p_dec.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_dec.add_argument("--grid-dt", type=float, default=1.0 / 64.0)
-    p_dec.add_argument("--grid-span", type=float, default=16.0)
+    p_dec.add_argument("--grid-dt", type=float, default=DEFAULT_GRID_DT)
+    p_dec.add_argument("--grid-span", type=float, default=DEFAULT_GRID_SPAN)
     return parser
 
 

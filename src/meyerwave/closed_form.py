@@ -26,6 +26,11 @@ overflows near the top of the float range.  Nothing else can overflow:
 |ph| < 3, |y| >= GUARD_RADIUS, and y*y overflowing to inf gives 0, the
 true limit.
 
+psi = psi1 + psi2 is evaluated in one pass: y, ph and one pre-filter of
+the points near a root are computed once for both forms (which share the
+center 1/2), and only those points are tested against each root's guard.
+Each form keeps its own arithmetic, so psi is psi1 + psi2 bit for bit.
+
 Limits at the roots follow from L'Hopital's rule and are computed here as
 N'(root)/D'(root) rather than frozen as decimals.  singular_points()
 returns them as {name: (points, limits)}, keyed by function name:
@@ -90,21 +95,36 @@ class _RationalForm:
         d_val = den[0] + den[1] * h + den[2] * h * h
         return n_val / d_val
 
-    def __call__(self, t):
-        y = np.asarray(t, dtype=float) - self.center
-        if not np.all(np.isfinite(y)):
-            raise ValueError("t must be finite")
-        flat_y = np.atleast_1d(y)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            phase = np.fmod(flat_y, _PHASE_PERIOD)
-            out = self.r * np.sin(self.s * phase) / flat_y
-            out += self.p * np.cos(self.q * phase)
-            out /= self.d1 + self.d3 * flat_y * flat_y
+    def _values(self, y, phase, near):
+        """The form at a 1-D y; near indexes every y close to a root."""
+        out = self.r * np.sin(self.s * phase) / y
+        out += self.p * np.cos(self.q * phase)
+        out /= self.d1 + self.d3 * y * y
         for y0 in self.roots:
-            mask = np.abs(flat_y - y0) < GUARD_RADIUS
-            if mask.any():
-                out[mask] = self._series_eval(flat_y[mask] - y0, y0)
-        return out.item() if np.ndim(t) == 0 else out.reshape(np.shape(t))
+            h = y[near] - y0
+            guarded = np.abs(h) < GUARD_RADIUS
+            if guarded.any():
+                out[near[guarded]] = self._series_eval(h[guarded], y0)
+        return out
+
+
+def _evaluate(t, forms):
+    """Sum of forms that share one center, at t: a float for a 0-d t and
+    an array of t's shape otherwise.  y, its phase and the indices near
+    the roots are computed once for all forms."""
+    arr = np.asarray(t, dtype=float)
+    y = arr.ravel() - forms[0].center
+    if not np.all(np.isfinite(y)):
+        raise ValueError("t must be finite")
+    # twice the guard radius, so that rounding cannot drop a guarded point
+    reach = max(form.roots[-1] for form in forms) + 2.0 * GUARD_RADIUS
+    near = np.flatnonzero(np.abs(y) < reach)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phase = np.fmod(y, _PHASE_PERIOD)
+        out = forms[0]._values(y, phase, near)
+        for form in forms[1:]:
+            out += form._values(y, phase, near)
+    return out.item() if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 _PHI = _RationalForm(center=0.0, p=4.0 / 3.0, q=4.0 * np.pi / 3.0,
@@ -120,22 +140,22 @@ _PSI2 = _RationalForm(center=0.5, p=8.0 / (3.0 * np.pi), q=8.0 * np.pi / 3.0,
 
 def phi(t):
     """Meyer scaling function.  Even, peaks at t = 0 with value 2/3 + 4/(3pi)."""
-    return _PHI(t)
+    return _evaluate(t, (_PHI,))
 
 
 def psi1(t):
     """Lower-band part of the wavelet; even about t = 1/2."""
-    return _PSI1(t)
+    return _evaluate(t, (_PSI1,))
 
 
 def psi2(t):
     """Upper-band part of the wavelet; even about t = 1/2."""
-    return _PSI2(t)
+    return _evaluate(t, (_PSI2,))
 
 
 def psi(t):
     """Meyer wavelet psi1 + psi2; even about t = 1/2, psi(1/2) = 4/pi."""
-    return _PSI1(t) + _PSI2(t)
+    return _evaluate(t, (_PSI1, _PSI2))
 
 
 def singular_points():

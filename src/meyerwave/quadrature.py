@@ -35,8 +35,12 @@ closed forms to ~1e-15 down to |x| = 1, but is off by ~1e-11 at |x| = 0.5
 and by ~1e3 below it.  On 1 <= |x| < FILON_FROM both families are
 accurate, which the verification suite uses to measure their error.
 
-Both families only sample scale_spectrum, never the closed forms.
+Each rule's nodes, weights and Legendre projection are built once per
+node count and shared, read-only, by every later call.  Both families
+only sample scale_spectrum, never the closed forms.
 """
+
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
@@ -65,6 +69,17 @@ _PHI_BRANCHES = (0.0, W_LO, W_MID)
 _PSI_BRANCHES = (W_LO, W_MID, 2.0 * np.pi, W_HI)
 
 
+@cache
+def _legendre_rule(n):
+    """Read-only nodes u, weights and projection of the n-node rule on
+    [-1, 1]: project @ f(u) is the Legendre coefficients of f's fit."""
+    u, weights = leggauss(n)
+    project = (np.arange(n) + 0.5)[:, None] * (legvander(u, n - 1).T * weights)
+    for a in (u, weights, project):
+        a.flags.writeable = False
+    return u, weights, project
+
+
 def _cos_sums(x, w, sw):
     """cos(outer(x, w)) @ sw, in blocks of at most _COS_BLOCK elements."""
     out = np.empty(x.size)
@@ -78,7 +93,7 @@ def _cos_sums(x, w, sw):
 def _gauss_legendre_integrals(spectrum, branches, x):
     """Sum over branches of integral spectrum(w) cos(w x) dw for a 1-D x,
     by one _GL_NODES-node Gauss-Legendre rule per branch."""
-    u, weights = leggauss(_GL_NODES)
+    u, weights, _ = _legendre_rule(_GL_NODES)
     out = np.zeros(x.size)
     for lo, hi in zip(branches, branches[1:]):
         c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -108,9 +123,7 @@ def _filon_integrals(spectrum, branches, x):
     limit = np.finfo(float).max / branches[-1]     # so that c |x| is finite
     if ax.max() > limit:
         raise ValueError(f"t must be below {limit:.3g} in magnitude")
-    u, weights = leggauss(_FILON_NODES)
-    project = (np.arange(_FILON_NODES) + 0.5)[:, None] * (
-        legvander(u, _FILON_NODES - 1).T * weights)
+    u, _, project = _legendre_rule(_FILON_NODES)
     out = np.zeros(x.size)
     for lo, hi in zip(branches, branches[1:]):
         c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)

@@ -261,7 +261,8 @@ class TestEvaluation:
             written = ((form.p * y * np.cos(form.q * y)
                         + form.r * np.sin(form.s * y))
                        / (form.d1 * y + form.d3 * y**3))
-            assert np.all(np.abs(form(y + form.center) - written) <= bound)
+            got = closed_form._evaluate(y + form.center, (form,))
+            assert np.all(np.abs(got - written) <= bound)
 
     # phi, psi1 and psi2 at float t, from the forms with exact multiples of
     # 2pi/3 evaluated at the float y = t - center in 400-digit arithmetic
@@ -303,3 +304,74 @@ class TestEvaluation:
         # tail envelope bound with the empirically fitted constant; the
         # leading tail term decays as t^-2
         assert abs(psi(20.0)) <= 1.0 / 20.0**2
+
+
+def single_form_reference(form, t):
+    """Reference: one form on a 1-D t on its own, with a full-length guard
+    mask per root."""
+    y = np.asarray(t, dtype=float) - form.center
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phase = np.fmod(y, 3.0)
+        out = form.r * np.sin(form.s * phase) / y
+        out += form.p * np.cos(form.q * phase)
+        out /= form.d1 + form.d3 * y * y
+    for y0 in form.roots:
+        mask = np.abs(y - y0) < GUARD_RADIUS
+        if mask.any():
+            out[mask] = form._series_eval(y[mask] - y0, y0)
+    return out
+
+
+def across_guards(forms):
+    """t at every root of the forms and 8 ulps either side of both edges
+    of each guard radius, stepped in t and in y = t - center, then a sweep
+    out to |t| = 1e120."""
+    t = []
+    for form in forms:
+        for y0 in form.roots:
+            for edge in (y0 - GUARD_RADIUS, y0, y0 + GUARD_RADIUS):
+                for x, shift in ((form.center + edge, 0.0),
+                                 (edge, form.center)):
+                    for direction in (-np.inf, np.inf):
+                        for _ in range(9):
+                            t.append(x + shift)
+                            x = np.nextafter(x, direction)
+    tail = np.geomspace(1.0, 1e120, 241)
+    return np.concatenate([t, np.linspace(-3.0, 3.0, 6001), tail, -tail])
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.filterwarnings("error")
+class TestOnePass:
+    """psi evaluates both of its forms on one y, phase and near-root
+    filter; each form must still give exactly its own values."""
+    T = across_guards((closed_form._PSI1, closed_form._PSI2))
+
+    def test_psi_is_psi1_plus_psi2_bit_for_bit_1d(self):
+        assert np.array_equal(bits(psi(self.T)),
+                              bits(psi1(self.T) + psi2(self.T)))
+
+    def test_psi_is_psi1_plus_psi2_bit_for_bit_2d(self):
+        t = self.T[:self.T.size // 4 * 4].reshape(4, -1)
+        got = psi(t)
+        assert got.shape == t.shape
+        assert np.array_equal(bits(got), bits(psi1(t) + psi2(t)))
+        assert np.array_equal(bits(got), bits(psi(t.ravel())).reshape(4, -1))
+
+    def test_psi_is_psi1_plus_psi2_bit_for_bit_0d(self):
+        for t in self.T[::7]:
+            got = psi(t)
+            assert type(got) is float
+            assert bits(got) == bits(psi1(t) + psi2(t)), t
+            assert bits(psi(np.array(t))) == bits(got)
+
+    @pytest.mark.parametrize("fn, form", [
+        (phi, closed_form._PHI), (psi1, closed_form._PSI1),
+        (psi2, closed_form._PSI2)], ids=["phi", "psi1", "psi2"])
+    def test_each_form_guards_exactly_its_own_roots(self, fn, form):
+        t = np.concatenate([across_guards((form,)), self.T])
+        assert np.array_equal(bits(fn(t)),
+                              bits(single_form_reference(form, t)))

@@ -221,3 +221,32 @@ class TestFilon:
             with pytest.raises(ValueError, match="magnitude"):
                 oracle(np.array([0.0, 1.7e308]))
             assert abs(oracle(1e300)) <= 1e-290
+
+
+class TestRuleCache:
+    @pytest.mark.parametrize("n", [quadrature._FILON_NODES,
+                                   quadrature._GL_NODES])
+    def test_rule_is_leggauss_and_read_only(self, n):
+        u, weights, project = quadrature._legendre_rule(n)
+        ref_u, ref_weights = leggauss(n)
+        assert np.array_equal(u, ref_u)
+        assert np.array_equal(weights, ref_weights)
+        assert project.shape == (n, n)
+        for a in (u, weights, project):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        assert quadrature._legendre_rule(n) is quadrature._legendre_rule(n)
+
+    def test_projection_recovers_legendre_coefficients(self):
+        # project @ f(u) is exact for a polynomial of degree below n
+        n = quadrature._FILON_NODES
+        u, _, project = quadrature._legendre_rule(n)
+        coef = np.arange(1.0, n + 1.0)
+        values = np.polynomial.legendre.legval(u, coef)
+        assert np.allclose(project @ values, coef, rtol=0, atol=1e-12)
+
+    def test_repeated_calls_are_equal(self):
+        # the shared rule is not altered by a call: both families, twice
+        t = np.concatenate([np.linspace(-30.0, 30.0, 241), SINGULAR_POINTS])
+        for oracle, _ in ORACLES:
+            assert np.array_equal(oracle(t), oracle(t))

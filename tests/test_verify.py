@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from meyerwave import (closed_form, export, quadrature, signals, spectral,
                        verify)
-from meyerwave.cli import main
+from meyerwave.cli import build_parser, main
 
 EXPECTED_CHECKS = [
     "nu_complementarity",
@@ -50,12 +51,17 @@ class TestReport:
         names = [c.name for c in report.checks]
         assert names == EXPECTED_CHECKS
 
-    def test_overall_is_conjunction(self, report):
-        assert report.overall_pass == all(c.passed for c in report.checks)
-
-    def test_pass_flag_matches_value_and_tolerance(self, report):
-        for c in report.checks:
-            assert c.passed == (c.value <= c.tolerance)
+    def test_nan_value_fails(self, report):
+        # a NaN deviation is no measurement: it must read FAIL, which a
+        # verdict written as `not value > tolerance` would miss
+        nan = verify.Check("nan_check", math.nan, 1.0)
+        assert nan.passed is False
+        bad = verify.VerificationReport(
+            report.checks + (nan,), report.grid_description,
+            report.timestamp)
+        assert bad.render_table().splitlines()[-2].endswith("FAIL")
+        assert bad.overall_pass is False
+        assert json.loads(bad.to_json())["checks"][-1]["passed"] is False
 
     def test_core_identities_hold(self, report):
         by_name = {c.name: c for c in report.checks}
@@ -87,6 +93,33 @@ class TestReport:
 
 SECTIONS = ("_spectral_checks", "_closed_form_checks", "_oracle_checks",
             "_signal_checks", "_export_checks")
+
+
+def scalar_continuity():
+    """Reference: singularity_continuity as one scalar call per point."""
+    worst = 0.0
+    for name, (points, _) in closed_form.singular_points().items():
+        fn = getattr(closed_form, name)
+        for s in points:
+            for h in (1e-5, 1e-6, 1e-7):
+                for sgn in (1.0, -1.0):
+                    worst = max(worst, abs(fn(s) - fn(s + sgn * h)) / h)
+    return worst
+
+
+class TestSingularityContinuity:
+    def test_equals_the_scalar_loop(self, report):
+        check = {c.name: c for c in report.checks}["singularity_continuity"]
+        assert check.value == scalar_continuity()
+
+    def test_equals_the_scalar_loop_under_a_step(self, monkeypatch):
+        # a nonzero step beside one root, so the two are compared away
+        # from the default's own maximum too
+        original = closed_form.psi2
+        monkeypatch.setattr(closed_form, "psi2", lambda t: original(t)
+                            + 3e-4 * (np.asarray(t) == 0.875 - 1e-6))
+        check = TestChecksCanFail.verdict("singularity_continuity")
+        assert check.value == scalar_continuity() > 100.0
 
 
 class TestCoarseGrid:
@@ -140,6 +173,13 @@ class TestCliVerify:
             d.pop("timestamp")
             payloads.append(json.dumps(d, sort_keys=True))
         assert payloads[0] == payloads[1]
+
+    def test_default_grid_is_the_library_default(self):
+        defaults = inspect.signature(verify.run_verification).parameters
+        for command in ("verify", "decompose"):
+            args = build_parser().parse_args([command])
+            assert args.grid_dt == defaults["grid_dt"].default
+            assert args.grid_span == defaults["grid_span"].default
 
     def test_decay_and_eq8_claims_are_reported(self, report):
         # the two claims that do not hold at their stated tolerances are
