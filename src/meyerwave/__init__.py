@@ -15,8 +15,7 @@ Public surface:
 from .closed_form import phi, psi, psi1, psi2, singular_points
 from .quadrature import phi_oracle, psi_oracle
 from .signals import (SampledSignal, decompose_quadrature, envelope, hilbert,
-                      lowpass, reconstruct_quadrature, sample,
-                      scale_from_wavelet)
+                      reconstruct_quadrature, sample, scale_from_wavelet)
 from .spectral import (nu, scale_spectrum, wavelet_spectrum,
                        wavelet_spectrum_magnitude)
 from .verify import VerificationReport, run_verification

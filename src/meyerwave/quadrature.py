@@ -7,11 +7,12 @@ direct numerical inversion of the compactly supported spectra:
     psi(t) = 2 * integral_{2pi/3}^{8pi/3} Phi(w/2) Phi(w - 2pi)
                  cos(w (t - 1/2)) dw
 
-Both integrands are piecewise-smooth; each integral is split at the branch
-points of its integrand so that every rule sees a smooth function, and
-every branch is 2pi/3 wide.  Two independent rule families share the
-work, chosen per point by x = t (phi) or x = t - 1/2 (psi).  Both do fixed
-work per point, so there is no tolerance, budget or convergence failure.
+Both integrands are piecewise-smooth; each integral is split at the row
+edges of the spectral branch tables, Phi's for phi and |Psi|'s plus 2pi for
+psi, so that every rule sees a smooth function and every branch is 2pi/3
+wide.  Two independent rule families share the work, chosen per point by
+x = t (phi) or x = t - 1/2 (psi).  Both do fixed work per point, so there
+is no tolerance, budget or convergence failure.
 
 |x| < FILON_FROM: one _GL_NODES-node Gauss-Legendre rule per branch
 [c - h, c + h], summed as cos(outer(x, w)) @ (f(w) h weights) over its
@@ -45,7 +46,7 @@ from functools import cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
-from .spectral import SQRT_2PI, W_LO, W_MID, W_HI, scale_spectrum
+from .spectral import _PHI_ROWS, _PSI_ROWS, SQRT_2PI, scale_spectrum
 
 __all__ = ["FILON_FROM", "phi_oracle", "psi_oracle"]
 
@@ -64,9 +65,9 @@ _GL_NODES = 32
 # fall to round-off by degree ~13, and each further one only adds noise.
 _FILON_NODES = 16
 
-# Branch points of the two oracle integrands.
-_PHI_BRANCHES = (0.0, W_LO, W_MID)
-_PSI_BRANCHES = (W_LO, W_MID, 2.0 * np.pi, W_HI)
+# Branch points of the integrands: spectral row edges, and 2pi for psi.
+_PHI_BRANCHES = tuple(sorted({b for row in _PHI_ROWS for b in row[:2]}))
+_PSI_BRANCHES = tuple(sorted({2.0 * np.pi, *(b for row in _PSI_ROWS for b in row[:2])}))
 
 
 @cache

@@ -49,7 +49,7 @@ __all__ = [
     "MAX_GRID_POINTS", "InvalidGrid", "GridTooCoarse", "GridMismatch",
     "SampledSignal",
     "symmetric_grid", "sample", "require_fine_grid",
-    "dft", "idft", "lowpass", "hilbert",
+    "dft", "idft", "hilbert",
     "decompose_quadrature", "reconstruct_quadrature",
     "scale_from_wavelet", "envelope", "interior_slice",
 ]
@@ -153,24 +153,6 @@ def idft(s, coefficients):
     # Inputs in this library are conjugate-symmetric; the imaginary residue
     # is FFT round-off and is dropped.
     return s.replace_samples(np.fft.ifft(coefficients).real)
-
-
-def _require_cutoff(cutoff):
-    """Raise ValueError unless the low-pass cutoff is positive and finite.
-
-    A NaN cutoff would mask no bin (|w| > nan is false) and an infinite
-    one masks none by construction: either would disable the filter.
-    """
-    if not 0.0 < cutoff < np.inf:
-        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
-
-
-def lowpass(s, cutoff):
-    """Ideal brick-wall low-pass: zero every DFT bin beyond the cutoff."""
-    _require_cutoff(cutoff)
-    freqs, coefficients = dft(s)
-    coefficients[np.abs(freqs) > cutoff] = 0.0
-    return idft(s, coefficients)
 
 
 def hilbert(s):

@@ -6,6 +6,11 @@ The wavelet spectrum occupies the band [2pi/3, 8pi/3] with a sine taper on
 the lower transition and a cosine taper on the upper one, multiplied by the
 half-sample phase factor exp(j*w/2).
 
+Each spectrum is one branch table over |w| (_PHI_ROWS, _PSI_ROWS) of rows
+(lo, hi, shape): the first row holding |w| wins, and outside every row the
+spectrum is 0.  The quadrature oracle splits at the row edges, and the
+check branch_continuity compares neighbouring rows at their shared edge.
+
 Transform convention: the spectra are (1/sqrt(2pi)) integral f(t) e^{+jwt}
 dt, so f(t) = (1/sqrt(2pi)) integral F(w) e^{-jwt} dw.  Under this forward
 kernel the wavelet, even about t = 1/2, has the phase exp(+j*w/2).  numpy's
@@ -53,6 +58,32 @@ def nu(x):
     return _maybe_item(np.clip(arr, 0.0, 1.0), x)
 
 
+def _angle(aw, width):
+    """Taper angle pi/2 * nu(3|w|/width - 1), with nu inlined as a clip."""
+    return 0.5 * np.pi * np.clip(3.0 * aw / width - 1.0, 0.0, 1.0)
+
+
+# Branch tables over |w|; at 4pi/3 both wavelet rows give 1/sqrt(2pi).
+_PHI_ROWS = (
+    (0.0, W_LO, lambda aw: 1.0 / SQRT_2PI),
+    (W_LO, W_MID, lambda aw: np.cos(_angle(aw, 2.0 * np.pi)) / SQRT_2PI),
+)
+_PSI_ROWS = (
+    (W_LO, W_MID, lambda aw: np.sin(_angle(aw, 2.0 * np.pi)) / SQRT_2PI),
+    (W_MID, W_HI, lambda aw: np.cos(_angle(aw, 4.0 * np.pi)) / SQRT_2PI),
+)
+
+
+def _evaluate(rows, w):
+    """The spectrum of a branch table at w, even in w."""
+    aw = np.abs(_check_finite(w, "w"))
+    out = 0.0
+    with np.errstate(over="ignore"):  # 3|w| past ~6e307, where out is 0
+        for lo, hi, shape in reversed(rows):
+            out = np.where((aw >= lo) & (aw <= hi), shape(aw), out)
+    return _maybe_item(out, w)
+
+
 def scale_spectrum(w):
     """Scaling-function spectrum, extended evenly to negative frequencies.
 
@@ -60,27 +91,12 @@ def scale_spectrum(w):
     cos(pi/2 * nu(3|w|/(2pi) - 1)) / sqrt(2*pi) on the transition band,
     and 0 for |w| > 4pi/3.
     """
-    arr = _check_finite(w, "w")
-    aw = np.abs(arr)
-    with np.errstate(over="ignore"):  # 3|w| past ~6e307, where out is 0
-        taper = np.cos(0.5 * np.pi * np.clip(3.0 * aw / (2.0 * np.pi) - 1.0, 0.0, 1.0))
-    out = np.where(aw <= W_MID, taper / SQRT_2PI, 0.0)
-    return _maybe_item(out, w)
+    return _evaluate(_PHI_ROWS, w)
 
 
 def wavelet_spectrum_magnitude(w):
     """Magnitude of the wavelet spectrum; even in w, supported on [2pi/3, 8pi/3]."""
-    arr = _check_finite(w, "w")
-    aw = np.abs(arr)
-    with np.errstate(over="ignore"):  # 3|w| past ~6e307, where out is 0
-        lower = np.sin(0.5 * np.pi * np.clip(3.0 * aw / (2.0 * np.pi) - 1.0, 0.0, 1.0))
-        upper = np.cos(0.5 * np.pi * np.clip(3.0 * aw / (4.0 * np.pi) - 1.0, 0.0, 1.0))
-    # First matching band wins; at the shared edge 4pi/3 both give 1/sqrt(2pi).
-    out = np.where(
-        (aw >= W_LO) & (aw <= W_MID), lower / SQRT_2PI,
-        np.where((aw > W_MID) & (aw <= W_HI), upper / SQRT_2PI, 0.0),
-    )
-    return _maybe_item(out, w)
+    return _evaluate(_PSI_ROWS, w)
 
 
 def wavelet_spectrum(w):

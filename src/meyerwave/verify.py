@@ -119,18 +119,15 @@ def _spectral_checks():
            float(np.max(np.abs(spectral.nu(x) + spectral.nu(1.0 - x) - 1.0))),
            1e-15)
 
-    # adjoining branch formulas evaluated explicitly at each junction
-    flat = 1.0 / SQRT_2PI
-    scale_taper = lambda w: np.cos(0.5 * np.pi * (3.0 * w / (2.0 * np.pi) - 1.0)) / SQRT_2PI
-    wav_lower = lambda w: np.sin(0.5 * np.pi * (3.0 * w / (2.0 * np.pi) - 1.0)) / SQRT_2PI
-    wav_upper = lambda w: np.cos(0.5 * np.pi * (3.0 * w / (4.0 * np.pi) - 1.0)) / SQRT_2PI
-    mismatches = [
-        flat - scale_taper(W_LO),
-        scale_taper(W_MID) - 0.0,
-        0.0 - wav_lower(W_LO),
-        wav_lower(W_MID) - wav_upper(W_MID),
-        wav_upper(W_HI) - 0.0,
-    ]
+    # each table row against its neighbour, or the zero outside the end
+    # rows, at their shared edge; w = 0 is Phi's centre, not an edge
+    zero = lambda aw: 0.0
+    mismatches = []
+    for rows in (spectral._PHI_ROWS, spectral._PSI_ROWS):
+        padded = ((0.0, rows[0][0], zero), *rows, (rows[-1][1], np.inf, zero))
+        mismatches += [left(edge) - right(edge)
+                       for (_, edge, left), (_, _, right)
+                       in zip(padded, padded[1:]) if edge > 0.0]
     yield ("branch_continuity", float(np.max(np.abs(mismatches))), 1e-12)
 
     yield ("partition_of_unity_scale",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from meyerwave import closed_form, signals
+from meyerwave import closed_form, quadrature, signals
 from meyerwave.spectral import (SQRT_2PI, W_LO, W_MID, W_HI, nu,
                                 scale_spectrum, wavelet_spectrum,
                                 wavelet_spectrum_magnitude)
@@ -153,3 +153,48 @@ class TestSpectralIdentities:
                 left, mid, right = f(w0 - 1e-9), f(w0), f(w0 + 1e-9)
                 assert abs(left - mid) < 1e-8
                 assert abs(right - mid) < 1e-8
+
+
+def frozen_scale_spectrum(w):
+    """scale_spectrum as written before its branch table, one expression."""
+    aw = np.abs(w)
+    with np.errstate(over="ignore"):
+        taper = np.cos(0.5 * np.pi * np.clip(3.0 * aw / (2.0 * np.pi) - 1.0, 0.0, 1.0))
+    return np.where(aw <= W_MID, taper / SQRT_2PI, 0.0)
+
+
+def frozen_wavelet_spectrum_magnitude(w):
+    """wavelet_spectrum_magnitude as written before its branch table."""
+    aw = np.abs(w)
+    with np.errstate(over="ignore"):
+        lower = np.sin(0.5 * np.pi * np.clip(3.0 * aw / (2.0 * np.pi) - 1.0, 0.0, 1.0))
+        upper = np.cos(0.5 * np.pi * np.clip(3.0 * aw / (4.0 * np.pi) - 1.0, 0.0, 1.0))
+    return np.where(
+        (aw >= W_LO) & (aw <= W_MID), lower / SQRT_2PI,
+        np.where((aw > W_MID) & (aw <= W_HI), upper / SQRT_2PI, 0.0),
+    )
+
+
+class TestBranchTables:
+    """The branch tables give the bits of the band formulas they replaced."""
+
+    edges = np.array([0.0, W_LO, W_MID, W_HI])
+    magnitudes = np.append(np.logspace(-300.0, 308.0, 20_001),
+                           np.finfo(float).max)
+
+    @pytest.mark.parametrize("w", [
+        np.linspace(-20.0, 20.0, 400_001),
+        np.concatenate([np.nextafter(edges, -np.inf), edges,
+                        np.nextafter(edges, np.inf)]),
+        np.concatenate([-magnitudes, magnitudes]),
+    ], ids=["linspace", "edges", "log-uniform"])
+    @pytest.mark.parametrize("f, frozen", [
+        (scale_spectrum, frozen_scale_spectrum),
+        (wavelet_spectrum_magnitude, frozen_wavelet_spectrum_magnitude),
+    ], ids=["phi", "psi"])
+    def test_bit_identical(self, w, f, frozen):
+        assert np.array_equal(f(w), frozen(w))
+
+    def test_oracle_branch_points(self):
+        assert quadrature._PHI_BRANCHES == (0.0, W_LO, W_MID)
+        assert quadrature._PSI_BRANCHES == (W_LO, W_MID, 2.0 * np.pi, W_HI)

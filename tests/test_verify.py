@@ -285,6 +285,15 @@ class TestChecksCanFail:
         monkeypatch.setattr(signals, "dft", scaled)
         assert not self.verdict("parseval").passed
 
+    def test_branch_continuity_sees_a_scaled_table_row(self, monkeypatch):
+        # ~4e-10 off at 2pi/3, where the flat row meets the taper
+        flat, (lo, hi, taper) = spectral._PHI_ROWS
+        before = spectral.scale_spectrum(3.0)
+        monkeypatch.setattr(spectral, "_PHI_ROWS", (
+            flat, (lo, hi, lambda aw: taper(aw) * (1.0 + 1e-9))))
+        assert spectral.scale_spectrum(3.0) != before
+        assert not self.verdict("branch_continuity").passed
+
     @pytest.mark.parametrize("name", ["partition_of_unity_scale_wavelet",
                                       "spectral_product_identity",
                                       "littlewood_paley_two_scale",
