@@ -26,10 +26,17 @@ overflows near the top of the float range.  Nothing else can overflow:
 |ph| < 3, |y| >= GUARD_RADIUS, and y*y overflowing to inf gives 0, the
 true limit.
 
+Each value depends only on its own t, so t is evaluated in blocks of
+spectral._BLOCK points written into one output: the temporaries stay the
+size of one block at any length of t, and the bits do not depend on it.
+
 psi = psi1 + psi2 is evaluated in one pass: y, ph and one pre-filter of
-the points near a root are computed once for both forms (which share the
-center 1/2), and only those points are tested against each root's guard.
-Each form keeps its own arithmetic, so psi is psi1 + psi2 bit for bit.
+the points near a root are computed once per block for both forms (which
+share the center 1/2), and only those points are tested against each
+root's guard.  The two forms also share s = 4pi/3 and have r1 = -r2
+exactly, so the sine term |r|*sin(s*ph)/y is computed once and psi1 takes
+its exact negation; psi is still psi1 + psi2 bit for bit.  phi, psi1 and
+psi2 take the same path with one form.
 
 Limits at the roots follow from L'Hopital's rule and are computed here as
 N'(root)/D'(root) rather than frozen as decimals.  singular_points()
@@ -43,6 +50,8 @@ returns them as {name: (points, limits)}, keyed by function name:
 from math import factorial
 
 import numpy as np
+
+from .spectral import _pointwise
 
 # Within this distance of a denominator root the series path is used.  At
 # the guard boundary the ratio's cancellation and the series' truncation
@@ -95,11 +104,21 @@ class _RationalForm:
         d_val = den[0] + den[1] * h + den[2] * h * h
         return n_val / d_val
 
-    def _values(self, y, phase, near):
-        """The form at a 1-D y; near indexes every y close to a root."""
-        out = self.r * np.sin(self.s * phase) / y
-        out += self.p * np.cos(self.q * phase)
-        out /= self.d1 + self.d3 * y * y
+    def _values(self, y, phase, near, term):
+        """The form at a 1-D y; near indexes every y close to a root.
+
+        term is |r|*sin(s*phase)/y, computed once for all forms of a call,
+        which share |r| and s.  This form's r*sin(s*phase)/y is term or its
+        exact negation, and c - term is -term + c bit for bit."""
+        out = self.p * np.cos(self.q * phase)
+        if self.r < 0.0:
+            out -= term
+        else:
+            out += term
+        den = self.d3 * y      # d1 + d3*y*y, in one temporary
+        den *= y
+        den += self.d1
+        out /= den
         for y0 in self.roots:
             h = y[near] - y0
             guarded = np.abs(h) < GUARD_RADIUS
@@ -110,21 +129,27 @@ class _RationalForm:
 
 def _evaluate(t, forms):
     """Sum of forms that share one center, at t: a float for a 0-d t and
-    an array of t's shape otherwise.  y, its phase and the indices near
-    the roots are computed once for all forms."""
-    arr = np.asarray(t, dtype=float)
-    y = arr.ravel() - forms[0].center
-    if not np.all(np.isfinite(y)):
-        raise ValueError("t must be finite")
+    an array of t's shape otherwise.  Evaluated block by block; y, its
+    phase, the indices near the roots and the shared sine term are
+    computed once per block for all forms."""
     # twice the guard radius, so that rounding cannot drop a guarded point
     reach = max(form.roots[-1] for form in forms) + 2.0 * GUARD_RADIUS
-    near = np.flatnonzero(np.abs(y) < reach)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+
+    def kernel(part):
+        y = part - forms[0].center
+        if not np.all(np.isfinite(y)):
+            raise ValueError("t must be finite")
+        near = np.flatnonzero(np.abs(y) < reach)
         phase = np.fmod(y, _PHASE_PERIOD)
-        out = forms[0]._values(y, phase, near)
+        # the forms share |r| and s (asserted below), so one term serves all
+        term = abs(forms[0].r) * np.sin(forms[0].s * phase) / y
+        out = forms[0]._values(y, phase, near, term)
         for form in forms[1:]:
-            out += form._values(y, phase, near)
-    return out.item() if arr.ndim == 0 else out.reshape(arr.shape)
+            out += form._values(y, phase, near, term)
+        return out
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _pointwise(kernel, t)
 
 
 _PHI = _RationalForm(center=0.0, p=4.0 / 3.0, q=4.0 * np.pi / 3.0,
@@ -136,6 +161,8 @@ _PSI1 = _RationalForm(center=0.5, p=4.0 / (3.0 * np.pi), q=2.0 * np.pi / 3.0,
 _PSI2 = _RationalForm(center=0.5, p=8.0 / (3.0 * np.pi), q=8.0 * np.pi / 3.0,
                       r=1.0 / np.pi, s=4.0 * np.pi / 3.0,
                       d1=1.0, d3=-64.0 / 9.0, root_offset=0.375)
+# psi evaluates one sine term for both of its forms
+assert _PSI1.s == _PSI2.s and _PSI1.r == -_PSI2.r
 
 
 def phi(t):

@@ -10,6 +10,8 @@ Each spectrum is one branch table over |w| (_PHI_ROWS, _PSI_ROWS) of rows
 (lo, hi, shape): the first row holding |w| wins, and outside every row the
 spectrum is 0.  The quadrature oracle splits at the row edges, and the
 check branch_continuity compares neighbouring rows at their shared edge.
+Both spectra, like the closed forms, are evaluated in blocks of _BLOCK
+points, so their temporaries stay the size of one block.
 
 Transform convention: the spectra are (1/sqrt(2pi)) integral f(t) e^{+jwt}
 dt, so f(t) = (1/sqrt(2pi)) integral F(w) e^{-jwt} dw.  Under this forward
@@ -37,15 +39,35 @@ __all__ = [
 ]
 
 
-def _check_finite(x, name):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+# Points per block of a pointwise evaluation: 256 KiB per float64
+# temporary, so a call's temporaries stay near 2 MB at any input length.
+_BLOCK = 1 << 15
+
+
+def _require_finite(part, x, name):
+    """Raise unless part, a piece of the input x, is finite."""
+    if not np.all(np.isfinite(part)):
         raise ValueError(f"{name} must be finite, got {x!r}")
-    return arr
 
 
 def _maybe_item(out, x):
     return out.item() if np.ndim(x) == 0 else out
+
+
+def _pointwise(kernel, x):
+    """kernel, a pointwise map of 1-D float arrays, applied to x block by
+    block into one output: a float for a 0-d x and an array of x's shape
+    otherwise.  Each value depends only on its own point, so the blocks
+    give the same bits as one call on the whole input."""
+    arr = np.asarray(x, dtype=float)
+    flat = arr.ravel()
+    if flat.size <= _BLOCK:     # one block: its result is the output
+        out = kernel(flat)
+    else:
+        out = np.empty(flat.size)
+        for start in range(0, flat.size, _BLOCK):
+            out[start:start + _BLOCK] = kernel(flat[start:start + _BLOCK])
+    return out.item() if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def nu(x):
@@ -54,7 +76,8 @@ def nu(x):
     Satisfies the complementarity nu(x) + nu(1 - x) = 1 on [0, 1], which is
     what makes the tapered bands below tile frequency.
     """
-    arr = _check_finite(x, "x")
+    arr = np.asarray(x, dtype=float)
+    _require_finite(arr, x, "x")
     return _maybe_item(np.clip(arr, 0.0, 1.0), x)
 
 
@@ -76,12 +99,16 @@ _PSI_ROWS = (
 
 def _evaluate(rows, w):
     """The spectrum of a branch table at w, even in w."""
-    aw = np.abs(_check_finite(w, "w"))
-    out = 0.0
-    with np.errstate(over="ignore"):  # 3|w| past ~6e307, where out is 0
+    def kernel(part):
+        _require_finite(part, w, "w")
+        aw = np.abs(part)
+        out = 0.0
         for lo, hi, shape in reversed(rows):
             out = np.where((aw >= lo) & (aw <= hi), shape(aw), out)
-    return _maybe_item(out, w)
+        return out
+
+    with np.errstate(over="ignore"):  # 3|w| past ~6e307, where out is 0
+        return _pointwise(kernel, w)
 
 
 def scale_spectrum(w):
@@ -107,6 +134,6 @@ def wavelet_spectrum(w):
     signed frequency, so negative-frequency values are the conjugates of
     their positive counterparts (real time-domain wavelet).
     """
-    arr = _check_finite(w, "w")
-    out = wavelet_spectrum_magnitude(arr) * np.exp(0.5j * arr)
+    magnitude = wavelet_spectrum_magnitude(w)   # rejects a w not finite
+    out = magnitude * np.exp(0.5j * np.asarray(w, dtype=float))
     return _maybe_item(np.asarray(out), w)

@@ -11,11 +11,6 @@ from meyerwave.signals import (GridMismatch, GridTooCoarse, InvalidGrid,
 from meyerwave.signals import CARRIER, CUTOFF, MAX_GRID_POINTS
 
 
-def tone_grid(n=256, dt=1.0 / 32.0, t0=0.0):
-    """Grid whose length is an integer number of unit periods."""
-    return t0, dt, n
-
-
 def make_tone(freq_cycles, n=256, dt=1.0 / 32.0, kind="cos"):
     # integer number of periods across the grid for exact DFT bins
     k = np.arange(n)
