@@ -26,9 +26,10 @@ overflows near the top of the float range.  Nothing else can overflow:
 |ph| < 3, |y| >= GUARD_RADIUS, and y*y overflowing to inf gives 0, the
 true limit.
 
-Each value depends only on its own t, so t is evaluated in blocks of
-spectral._BLOCK points written into one output: the temporaries stay the
-size of one block at any length of t, and the bits do not depend on it.
+Each value depends only on its own t, so spectral._pointwise evaluates t
+in blocks of spectral._BLOCK points written into one output: the
+temporaries stay the size of one block at any length of t, and the bits
+do not depend on it.
 
 psi = psi1 + psi2 is evaluated in one pass: y, ph and one pre-filter of
 the points near a root are computed once per block for both forms (which
@@ -137,8 +138,6 @@ def _evaluate(t, forms):
 
     def kernel(part):
         y = part - forms[0].center
-        if not np.all(np.isfinite(y)):
-            raise ValueError("t must be finite")
         near = np.flatnonzero(np.abs(y) < reach)
         phase = np.fmod(y, _PHASE_PERIOD)
         # the forms share |r| and s (asserted below), so one term serves all
@@ -149,7 +148,7 @@ def _evaluate(t, forms):
         return out
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _pointwise(kernel, t)
+        return _pointwise(kernel, t, "t")
 
 
 _PHI = _RationalForm(center=0.0, p=4.0 / 3.0, q=4.0 * np.pi / 3.0,

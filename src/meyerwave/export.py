@@ -95,7 +95,7 @@ def _grid_size(t_start, t_end, step):
 
 
 def grid_points(t_start, t_end, step):
-    return t_start + step * np.arange(_grid_size(t_start, t_end, step))
+    return signals._grid(t_start, step, _grid_size(t_start, t_end, step))
 
 
 def _psi_signal(t, step):

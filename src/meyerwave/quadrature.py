@@ -39,6 +39,10 @@ accurate, which the verification suite uses to measure their error.
 Each rule's nodes, weights and Legendre projection are built once per
 node count and shared, read-only, by every later call.  Both families
 only sample scale_spectrum, never the closed forms.
+
+Like the closed forms, the oracles evaluate t through spectral._pointwise.
+A Gauss-Legendre value can move in its last bit between batches, as BLAS
+rounds cos(x w) @ weights by its rows; a Filon value cannot.
 """
 
 from functools import cache
@@ -46,13 +50,10 @@ from functools import cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
-from .spectral import _PHI_ROWS, _PSI_ROWS, SQRT_2PI, scale_spectrum
+from .spectral import (_BLOCK, _PHI_ROWS, _PSI_ROWS, SQRT_2PI, _pointwise,
+                       scale_spectrum)
 
 __all__ = ["FILON_FROM", "phi_oracle", "psi_oracle"]
-
-# Most elements of one cos(x w) block, so a batch costs little memory; also
-# the most points in one block of the Filon rule.
-_COS_BLOCK = 1 << 15
 
 # Oracle points with |x| at or above this use the Filon rule, the rest
 # Gauss-Legendre.
@@ -82,9 +83,9 @@ def _legendre_rule(n):
 
 
 def _cos_sums(x, w, sw):
-    """cos(outer(x, w)) @ sw, in blocks of at most _COS_BLOCK elements."""
+    """cos(outer(x, w)) @ sw, in blocks of at most _BLOCK elements."""
     out = np.empty(x.size)
-    rows = max(1, _COS_BLOCK // w.size)
+    rows = max(1, _BLOCK // w.size)
     for i in range(0, x.size, rows):
         block = np.multiply.outer(x[i:i + rows], w)
         out[i:i + rows] = np.cos(block, out=block) @ sw
@@ -119,7 +120,7 @@ def _bessel_sums(z, coef):
 
 def _filon_integrals(spectrum, branches, x):
     """Sum over branches of integral spectrum(w) cos(w x) dw for a 1-D x,
-    by the Filon-Legendre rule, in blocks of at most _COS_BLOCK points."""
+    by the Filon-Legendre rule."""
     ax = np.abs(x)
     limit = np.finfo(float).max / branches[-1]     # so that c |x| is finite
     if ax.max() > limit:
@@ -129,32 +130,21 @@ def _filon_integrals(spectrum, branches, x):
     for lo, hi in zip(branches, branches[1:]):
         c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
         coef = project @ spectrum(c + h * u)
-        for i in range(0, x.size, _COS_BLOCK):
-            xb = ax[i:i + _COS_BLOCK]
-            re, im = _bessel_sums(h * xb, coef)
-            out[i:i + _COS_BLOCK] += 2.0 * h * (np.cos(c * xb) * re
-                                                - np.sin(c * xb) * im)
+        re, im = _bessel_sums(h * ax, coef)
+        out += 2.0 * h * (np.cos(c * ax) * re - np.sin(c * ax) * im)
     return out
 
 
 def _branch_integrals(spectrum, branches, x):
-    """Sum over branches of integral spectrum(w) cos(w x) dw for every x:
-    Filon-Legendre where |x| >= FILON_FROM, Gauss-Legendre elsewhere.
-
-    Returns a float for a 0-d x and an array of x's shape otherwise.
-    """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("t must be finite")
-    flat = arr.ravel()
-    out = np.zeros(flat.size)
-    far = np.abs(flat) >= FILON_FROM
+    """Sum over branches of integral spectrum(w) cos(w x) dw for a 1-D x:
+    Filon-Legendre where |x| >= FILON_FROM, Gauss-Legendre elsewhere."""
+    out = np.empty(x.size)
+    far = np.abs(x) >= FILON_FROM
     if far.any():
-        out[far] = _filon_integrals(spectrum, branches, flat[far])
+        out[far] = _filon_integrals(spectrum, branches, x[far])
     if not far.all():
-        out[~far] = _gauss_legendre_integrals(spectrum, branches, flat[~far])
-    out = out.reshape(arr.shape)
-    return out.item() if arr.ndim == 0 else out
+        out[~far] = _gauss_legendre_integrals(spectrum, branches, x[~far])
+    return out
 
 
 # The oracles look scale_spectrum up in this module's globals on each call,
@@ -168,7 +158,8 @@ def phi_oracle(t):
 
     t may be a scalar, which returns a float, or an array of any shape.
     """
-    return 2.0 / SQRT_2PI * _branch_integrals(scale_spectrum, _PHI_BRANCHES, t)
+    return _pointwise(lambda part: 2.0 / SQRT_2PI * _branch_integrals(
+        scale_spectrum, _PHI_BRANCHES, part), t, "t")
 
 
 def psi_oracle(t):
@@ -179,5 +170,5 @@ def psi_oracle(t):
     phase of the wavelet spectrum.  t may be a scalar, which returns a
     float, or an array of any shape.
     """
-    x = np.asarray(t, dtype=float) - 0.5
-    return 2.0 * _branch_integrals(_wavelet_integrand, _PSI_BRANCHES, x)
+    return _pointwise(lambda part: 2.0 * _branch_integrals(
+        _wavelet_integrand, _PSI_BRANCHES, part - 0.5), t, "t")

@@ -94,7 +94,7 @@ class SampledSignal:
 
     @property
     def times(self):
-        return self.t0 + self.dt * np.arange(self.samples.size)
+        return _grid(self.t0, self.dt, self.samples.size)
 
     def same_grid(self, other):
         return (self.t0 == other.t0 and self.dt == other.dt
@@ -126,9 +126,17 @@ def symmetric_grid(span, dt):
     return n
 
 
+def _grid(t0, dt, n):
+    """t0 + dt * np.arange(n), bit for bit, with no full-length temporary."""
+    t = np.arange(n, dtype=float)
+    t *= dt
+    t += t0
+    return t
+
+
 def sample(f, t0, dt, n):
     """Sample a function of time on a uniform grid of n points."""
-    return SampledSignal(t0, dt, f(t0 + dt * np.arange(n)))
+    return SampledSignal(t0, dt, f(_grid(t0, dt, n)))
 
 
 def _bin_frequencies(s):
@@ -185,7 +193,9 @@ def decompose_quadrature(psi_s):
     """
     require_fine_grid(psi_s)
     beyond = np.abs(_bin_frequencies(psi_s)) > CUTOFF
-    angle = CARRIER * psi_s.times
+    # in place: measured at n = 524,289, a new product raises the peak RSS
+    angle = psi_s.times
+    angle *= CARRIER
     mixed = np.empty(angle.size, dtype=complex)
     mixed.real = np.cos(angle)
     mixed.imag = -np.sin(angle)

@@ -10,8 +10,10 @@ Each spectrum is one branch table over |w| (_PHI_ROWS, _PSI_ROWS) of rows
 (lo, hi, shape): the first row holding |w| wins, and outside every row the
 spectrum is 0.  The quadrature oracle splits at the row edges, and the
 check branch_continuity compares neighbouring rows at their shared edge.
-Both spectra, like the closed forms, are evaluated in blocks of _BLOCK
-points, so their temporaries stay the size of one block.
+Every function of t or w in the library (nu, the spectra, the closed
+forms and the oracles) takes its input through _pointwise, which rejects
+it unless finite and evaluates it in blocks of _BLOCK points into one
+output, so temporaries stay the size of one block at any input length.
 
 Transform convention: the spectra are (1/sqrt(2pi)) integral f(t) e^{+jwt}
 dt, so f(t) = (1/sqrt(2pi)) integral F(w) e^{-jwt} dw.  Under this forward
@@ -39,8 +41,8 @@ __all__ = [
 ]
 
 
-# Points per block of a pointwise evaluation: 256 KiB per float64
-# temporary, so a call's temporaries stay near 2 MB at any input length.
+# Points per pointwise block and elements per oracle cos(x w) block: 256 KiB
+# per float64 temporary, so temporaries stay near 2 MB at any input length.
 _BLOCK = 1 << 15
 
 
@@ -50,23 +52,26 @@ def _require_finite(part, x, name):
         raise ValueError(f"{name} must be finite, got {x!r}")
 
 
-def _maybe_item(out, x):
-    return out.item() if np.ndim(x) == 0 else out
-
-
-def _pointwise(kernel, x):
+def _pointwise(kernel, x, name):
     """kernel, a pointwise map of 1-D float arrays, applied to x block by
-    block into one output: a float for a 0-d x and an array of x's shape
-    otherwise.  Each value depends only on its own point, so the blocks
-    give the same bits as one call on the whole input."""
+    block, each block rejected unless finite (x is called name), into one
+    output of the kernel's dtype: a scalar for a 0-d x and an array of x's
+    shape otherwise.  Each value depends only on its own point, so the
+    blocks give the same bits as one call on the whole input."""
     arr = np.asarray(x, dtype=float)
     flat = arr.ravel()
-    if flat.size <= _BLOCK:     # one block: its result is the output
-        out = kernel(flat)
-    else:
-        out = np.empty(flat.size)
-        for start in range(0, flat.size, _BLOCK):
-            out[start:start + _BLOCK] = kernel(flat[start:start + _BLOCK])
+
+    def block(start):
+        part = flat[start:start + _BLOCK]
+        _require_finite(part, x, name)
+        return kernel(part)
+
+    out = block(0)
+    if flat.size > _BLOCK:      # more than one block: one output for all
+        first, out = out, np.empty(flat.size, dtype=out.dtype)
+        out[:_BLOCK] = first
+        for start in range(_BLOCK, flat.size, _BLOCK):
+            out[start:start + _BLOCK] = block(start)
     return out.item() if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -76,9 +81,7 @@ def nu(x):
     Satisfies the complementarity nu(x) + nu(1 - x) = 1 on [0, 1], which is
     what makes the tapered bands below tile frequency.
     """
-    arr = np.asarray(x, dtype=float)
-    _require_finite(arr, x, "x")
-    return _maybe_item(np.clip(arr, 0.0, 1.0), x)
+    return _pointwise(lambda part: np.clip(part, 0.0, 1.0), x, "x")
 
 
 def _angle(aw, width):
@@ -97,18 +100,14 @@ _PSI_ROWS = (
 )
 
 
-def _evaluate(rows, w):
-    """The spectrum of a branch table at w, even in w."""
-    def kernel(part):
-        _require_finite(part, w, "w")
-        aw = np.abs(part)
-        out = 0.0
+def _magnitude(rows, w):
+    """The spectrum of a branch table at a 1-D w, even in w."""
+    aw = np.abs(w)
+    out = 0.0
+    with np.errstate(over="ignore"):  # 3|w| past ~6e307, where out is 0
         for lo, hi, shape in reversed(rows):
             out = np.where((aw >= lo) & (aw <= hi), shape(aw), out)
-        return out
-
-    with np.errstate(over="ignore"):  # 3|w| past ~6e307, where out is 0
-        return _pointwise(kernel, w)
+    return out
 
 
 def scale_spectrum(w):
@@ -118,12 +117,12 @@ def scale_spectrum(w):
     cos(pi/2 * nu(3|w|/(2pi) - 1)) / sqrt(2*pi) on the transition band,
     and 0 for |w| > 4pi/3.
     """
-    return _evaluate(_PHI_ROWS, w)
+    return _pointwise(lambda part: _magnitude(_PHI_ROWS, part), w, "w")
 
 
 def wavelet_spectrum_magnitude(w):
     """Magnitude of the wavelet spectrum; even in w, supported on [2pi/3, 8pi/3]."""
-    return _evaluate(_PSI_ROWS, w)
+    return _pointwise(lambda part: _magnitude(_PSI_ROWS, part), w, "w")
 
 
 def wavelet_spectrum(w):
@@ -134,6 +133,5 @@ def wavelet_spectrum(w):
     signed frequency, so negative-frequency values are the conjugates of
     their positive counterparts (real time-domain wavelet).
     """
-    magnitude = wavelet_spectrum_magnitude(w)   # rejects a w not finite
-    out = magnitude * np.exp(0.5j * np.asarray(w, dtype=float))
-    return _maybe_item(np.asarray(out), w)
+    return _pointwise(lambda part: _magnitude(_PSI_ROWS, part)
+                      * np.exp(0.5j * part), w, "w")

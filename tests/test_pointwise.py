@@ -9,10 +9,12 @@ import pytest
 
 from meyerwave import closed_form, spectral
 from meyerwave.closed_form import GUARD_RADIUS, phi, psi, psi1, psi2
-from meyerwave.spectral import (W_HI, W_LO, W_MID, scale_spectrum,
+from meyerwave.quadrature import FILON_FROM, phi_oracle, psi_oracle
+from meyerwave.spectral import (W_HI, W_LO, W_MID, nu, scale_spectrum,
                                 wavelet_spectrum, wavelet_spectrum_magnitude)
 
-EVALUATORS = [phi, psi, psi1, psi2, scale_spectrum, wavelet_spectrum_magnitude]
+EVALUATORS = [phi, psi, psi1, psi2, nu, scale_spectrum,
+              wavelet_spectrum_magnitude, wavelet_spectrum]
 NAMES = [f.__name__ for f in EVALUATORS]
 BLOCK = spectral._BLOCK
 
@@ -48,7 +50,9 @@ def straddling_grid():
 
 
 def bits(x):
-    return np.asarray(x, dtype=float).view(np.uint64)
+    """The bit patterns of x: one per real value, a pair per complex one."""
+    x = np.asarray(x)
+    return x.view((np.uint64, 2) if x.dtype == complex else np.uint64)
 
 
 class TestPositionIndependence:
@@ -64,9 +68,9 @@ class TestPositionIndependence:
         whole = bits(f(self.t))
         for i in self.special_at:
             got = f(self.t[i])
-            assert type(got) is float
-            assert bits(got) == whole[i], self.t[i]
-            assert bits(f(np.array(self.t[i]))) == whole[i]
+            assert type(got) is (complex if f is wavelet_spectrum else float)
+            assert np.array_equal(bits(got), whole[i]), self.t[i]
+            assert np.array_equal(bits(f(np.array(self.t[i]))), whole[i])
 
     @pytest.mark.parametrize("f", EVALUATORS, ids=NAMES)
     def test_two_dimensional_keeps_its_shape(self, f):
@@ -80,8 +84,11 @@ class TestPositionIndependence:
     def test_non_finite_in_a_late_block_is_rejected(self):
         t = self.t.copy()
         t[-1] = np.nan
-        for f, name in ((phi, "t"), (psi, "t"), (scale_spectrum, "w"),
-                        (wavelet_spectrum_magnitude, "w")):
+        for f, name in ((phi, "t"), (psi, "t"), (nu, "x"),
+                        (scale_spectrum, "w"),
+                        (wavelet_spectrum_magnitude, "w"),
+                        (wavelet_spectrum, "w"), (phi_oracle, "t"),
+                        (psi_oracle, "t")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 f(t)
 
@@ -100,6 +107,39 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
         assert peak <= out.nbytes + 4_000_000
+
+
+class TestOracles:
+    """The oracles take t through the same blocks; where a batch mixes
+    Gauss-Legendre and Filon points, or splits differently, a
+    Gauss-Legendre value may move in its last bit (BLAS rounding)."""
+
+    ORACLES = [phi_oracle, psi_oracle]
+    IDS = ["phi_oracle", "psi_oracle"]
+
+    @pytest.mark.parametrize("f", ORACLES, ids=IDS)
+    def test_scalar_is_a_float(self, f):
+        for t in (1.3, 35.0):
+            assert type(f(t)) is float
+            assert type(f(np.array(t))) is float
+
+    @pytest.mark.parametrize("f", ORACLES, ids=IDS)
+    def test_two_dimensional_keeps_its_shape(self, f):
+        t = np.linspace(-30.0, 30.0, 2001)[:2000].reshape(-1, 2)
+        for grid in (t, t.T):   # contiguous and strided
+            got = f(grid)
+            assert got.shape == grid.shape
+            assert np.max(np.abs(got - f(grid.ravel()).reshape(grid.shape))) \
+                <= 1e-15
+
+    # every |t - 1/2| and |t| below FILON_FROM, or every one above it
+    @pytest.mark.parametrize("lo, hi", [(-19.0, 19.0), (FILON_FROM + 1.0, 1e4)],
+                             ids=["gauss_legendre", "filon"])
+    @pytest.mark.parametrize("f", ORACLES, ids=IDS)
+    def test_one_family_grid_equals_its_blocks(self, f, lo, hi):
+        t = np.linspace(lo, hi, 2 * BLOCK + 5)
+        pieces = [f(t[i:i + BLOCK]) for i in range(0, t.size, BLOCK)]
+        assert np.array_equal(bits(f(t)), bits(np.concatenate(pieces)))
 
 
 class TestWaveletSpectrumFinite:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from meyerwave import closed_form, quadrature
+from meyerwave import closed_form, quadrature, spectral
 from meyerwave.quadrature import phi_oracle, psi_oracle
 from meyerwave.spectral import SQRT_2PI, W_HI, W_LO, W_MID, scale_spectrum
 from meyerwave.verify import ORACLE_COMPARE_TOL
@@ -199,7 +199,7 @@ class TestFilon:
     def test_batch_element_equals_one_point_call(self, monkeypatch):
         # exactly, even beside Gauss-Legendre points in the same batch and
         # across block boundaries
-        monkeypatch.setattr(quadrature, "_COS_BLOCK", 7)
+        monkeypatch.setattr(spectral, "_BLOCK", 7)
         x = far_points(20.0, 1e9, 30, seed=8)
         for oracle, _, shift in self.SHIFTS:
             t = x + shift

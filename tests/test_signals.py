@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meyerwave import closed_form
+from meyerwave import closed_form, signals
 from meyerwave.signals import (GridMismatch, GridTooCoarse, InvalidGrid,
                                SampledSignal, decompose_quadrature, dft,
                                envelope, hilbert, idft, interior_slice,
@@ -51,6 +51,17 @@ class TestSample:
     def test_rejects_single_point(self):
         with pytest.raises(InvalidGrid):
             sample(closed_form.phi, 0.0, 1.0, 1)
+
+
+class TestGrid:
+    @pytest.mark.parametrize("t0, dt", [(-0.0, 1e-4), (0.0, 1e-4),
+                                        (-50.0, 1.0 / 8000.0),
+                                        (-37.3, 2.5e-4), (1e300, 3e294)])
+    def test_bits_equal_the_formula(self, t0, dt):
+        n = 1_000_001
+        want = t0 + dt * np.arange(n)
+        got = signals._grid(t0, dt, n)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestSymmetricGrid:
