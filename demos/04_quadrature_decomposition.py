@@ -11,9 +11,8 @@ import numpy as np
 from meyerwave import (decompose_quadrature, psi, reconstruct_quadrature,
                        sample)
 from meyerwave.signals import dft, interior_slice, symmetric_grid
+from meyerwave.verify import SIGNAL_DT as dt, SIGNAL_SPAN as span
 
-dt = 1.0 / 64.0
-span = 16.0
 n = symmetric_grid(span, dt)
 sig = sample(psi, -span, dt, n)
 

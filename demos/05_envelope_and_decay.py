@@ -10,11 +10,10 @@ import numpy as np
 
 from meyerwave import envelope, phi, psi, sample, scale_from_wavelet
 from meyerwave.signals import interior_slice, symmetric_grid
-from meyerwave.verify import decay_slope
+from meyerwave.verify import SIGNAL_DT, SIGNAL_SPAN, decay_slope
 
-dt = 1.0 / 64.0
-n = symmetric_grid(16.0, dt)
-sig = sample(psi, -16.0, dt, n)
+n = symmetric_grid(SIGNAL_SPAN, SIGNAL_DT)
+sig = sample(psi, -SIGNAL_SPAN, SIGNAL_DT, n)
 inner = interior_slice(n)
 t = sig.times
 

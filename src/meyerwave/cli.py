@@ -2,10 +2,11 @@
 
 Exit codes: 0 success (and verification pass), 1 verification failure,
 2 usage error (including an unknown option, an output that cannot be
-written and a step too small for the DFT bins to be finite).  There is no
---cutoff or --tolerance-scale: the decomposition's low-pass cutoff is
-fixed and every verify tolerance is nominal.  The oracles do fixed work
-per point, so an oracle point at any |t| up to ~2e307 is sampled.
+written and a step too small for the DFT bins to be finite).  verify and
+decompose take only --output: the signal grid (verify.SIGNAL_DT/SPAN) and
+the low-pass cutoff are fixed, decompose writes CSV and every verify
+tolerance is nominal.  The oracles do fixed work per point, so an oracle
+point at any |t| up to ~2e307 is sampled.
 """
 
 import argparse
@@ -14,8 +15,7 @@ import sys
 
 import numpy as np
 
-from . import closed_form, export, signals, verify
-from .verify import DEFAULT_GRID_DT, DEFAULT_GRID_SPAN
+from . import export, signals, verify
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -39,8 +39,6 @@ def build_parser():
                           help="output path (default stdout)")
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--grid-dt", type=float, default=DEFAULT_GRID_DT)
-    p_verify.add_argument("--grid-span", type=float, default=DEFAULT_GRID_SPAN)
     p_verify.add_argument("--output", default=None,
                           help="write the JSON report here")
 
@@ -49,9 +47,6 @@ def build_parser():
                                 "the reconstruction error")
     p_dec.add_argument("--output", default=".",
                        help="output directory for the exported files")
-    p_dec.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_dec.add_argument("--grid-dt", type=float, default=DEFAULT_GRID_DT)
-    p_dec.add_argument("--grid-span", type=float, default=DEFAULT_GRID_SPAN)
     return parser
 
 
@@ -73,18 +68,17 @@ def _cmd_sample(args):
 
 
 def _cmd_verify(args):
-    report = verify.run_verification(grid_dt=args.grid_dt,
-                                     grid_span=args.grid_span)
-    print(report.render_table())
+    report = verify.run_verification()
+    # the report first: an output that cannot be written prints no verdict
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
+    print(report.render_table())
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAILED
 
 
 def _cmd_decompose(args):
-    n = signals.symmetric_grid(args.grid_span, args.grid_dt)
-    sig = signals.sample(closed_form.psi, -args.grid_span, args.grid_dt, n)
+    sig = verify._sampled_psi()
     s_c, s_s = signals.decompose_quadrature(sig)
     rebuilt = signals.reconstruct_quadrature(s_c, s_s)
     error = rebuilt.samples - sig.samples
@@ -95,9 +89,9 @@ def _cmd_decompose(args):
               ("reconstruction", rebuilt.samples),
               ("reconstruction_error", error)]
     for name, values in series:
-        path = os.path.join(args.output, f"meyer_{name}.{args.format}")
-        _write_series(path, args.format, name, "t", t, values)
-    interior = signals.interior_slice(n)
+        path = os.path.join(args.output, f"meyer_{name}.csv")
+        _write_series(path, "csv", name, "t", t, values)
+    interior = signals.interior_slice(t.size)
     print(f"wrote {len(series)} files to {args.output}; interior max "
           f"reconstruction error {float(np.max(np.abs(error[interior]))):.3e}")
     return EXIT_OK

@@ -77,6 +77,10 @@ class ExportRequest:
     def __post_init__(self):
         if self.function not in FUNCTIONS:
             raise InvalidRequest(f"unknown function {self.function!r}")
+        for value in (self.t_start, self.t_end):
+            if not math.isfinite(value):
+                raise InvalidRequest(f"start and end must be finite, got "
+                                     f"{value!r}")
         if not (self.t_start < self.t_end):
             raise InvalidRequest("start must be below end")
         if not 0 < self.step < math.inf:

@@ -27,8 +27,9 @@ ORACLE_COMPARE_TOL = 1e-8
 # with both endpoints on zeros of the tail oscillation terms.
 NORM_T_START, NORM_T_END, NORM_DT = -40.0, 41.0, 1.0 / 256.0
 
-# Signal grid of run_verification and the verify and decompose commands.
-DEFAULT_GRID_DT, DEFAULT_GRID_SPAN = 1.0 / 64.0, 16.0
+# Signal grid of run_verification and the decompose command: 2,049
+# samples, t = -16 to 16.
+SIGNAL_DT, SIGNAL_SPAN = 1.0 / 64.0, 16.0
 
 # Bound on |f(s) - f(s +/- h)| / h near removable singularities.
 CONTINUITY_SLOPE_BOUND = 50.0
@@ -39,7 +40,7 @@ DECAY_SAMPLES_PER_UNIT = 512
 DECAY_BLOCK_WIDTH = 1.5
 
 __all__ = ["Check", "VerificationReport", "run_verification", "decay_slope",
-           "ORACLE_COMPARE_TOL", "DEFAULT_GRID_DT", "DEFAULT_GRID_SPAN"]
+           "ORACLE_COMPARE_TOL", "SIGNAL_DT", "SIGNAL_SPAN"]
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,9 @@ def decay_slope():
     The local envelope is taken as block maxima of |psi| over windows one
     oscillation period wide.
     """
-    t = np.arange(DECAY_FIT_RANGE[0], DECAY_FIT_RANGE[1],
-                  1.0 / DECAY_SAMPLES_PER_UNIT)
+    start, stop = DECAY_FIT_RANGE
+    t = signals._grid(start, 1.0 / DECAY_SAMPLES_PER_UNIT,
+                      int(round((stop - start) * DECAY_SAMPLES_PER_UNIT)))
     mag = np.abs(closed_form.psi(t))
     w = int(round(DECAY_BLOCK_WIDTH * DECAY_SAMPLES_PER_UNIT))
     n_blocks = mag.size // w
@@ -284,28 +286,26 @@ def _export_checks():
     yield ("csv_round_trip", diff, 0.0)
 
 
-def run_verification(grid_dt=DEFAULT_GRID_DT, grid_span=DEFAULT_GRID_SPAN):
+def _sampled_psi():
+    """psi on the signal grid, as the signal checks and decompose take it."""
+    n = signals.symmetric_grid(SIGNAL_SPAN, SIGNAL_DT)
+    return signals.sample(closed_form.psi, -SIGNAL_SPAN, SIGNAL_DT, n)
+
+
+def run_verification():
     """Run every library invariant and assemble a VerificationReport.
 
-    grid_dt/grid_span configure the discrete signal checks only; spectral
-    and closed-form checks use their own canonical grids.  Every check
-    keeps its nominal tolerance.  Before any check runs, an invalid grid
-    raises signals.InvalidGrid (so does a step so fine that the DFT bin
-    frequencies are not finite) and a grid too coarse for the wavelet band
-    signals.GridTooCoarse.
+    The discrete signal checks run on psi sampled on the fixed signal
+    grid; spectral and closed-form checks use their own canonical grids.
+    Every check keeps its nominal tolerance.
     """
-    n = signals.symmetric_grid(grid_span, grid_dt)
-    sig = signals.sample(closed_form.psi, -grid_span, grid_dt, n)
-    signals.require_fine_grid(sig)
-    signals._bin_frequencies(sig)       # a step too fine for the DFT
     checks = [Check(*check)
               for section in (_spectral_checks(), _closed_form_checks(),
-                              _oracle_checks(), _signal_checks(sig),
+                              _oracle_checks(), _signal_checks(_sampled_psi()),
                               _export_checks())
               for check in section]
-    end = float(sig.times[-1])      # +grid_span only if span/dt is whole
-    description = (f"signal grid t in [{-grid_span}, {end}], "
-                   f"dt={grid_dt}, cutoff={signals.CUTOFF}; normalization "
+    description = (f"signal grid t in [{-SIGNAL_SPAN}, {SIGNAL_SPAN}], "
+                   f"dt={SIGNAL_DT}, cutoff={signals.CUTOFF}; normalization "
                    f"grid t in [{NORM_T_START}, {NORM_T_END}], dt={NORM_DT}")
     return VerificationReport(
         checks=tuple(checks),

@@ -40,6 +40,19 @@ class TestExportRequest:
         with pytest.raises(InvalidRequest):
             ExportRequest("phi", 0.0, 1e6, 1e-6)
 
+    # named before the range and budget checks, which would misname them
+    @pytest.mark.parametrize("start, end, bad", [
+        ("nan", "1", "nan"), ("-inf", "1", "-inf"),
+        ("0", "nan", "nan"), ("0", "inf", "inf")],
+        ids=["start_nan", "start_minus_inf", "end_nan", "end_inf"])
+    def test_rejects_non_finite_bounds(self, capsys, start, end, bad):
+        assert main(["sample", "--function", "phi", f"--from={start}",
+                     f"--to={end}", "--step", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: start and end must be finite, got {bad}"]
+
     def test_point_budget_counts_both_ends(self):
         # validates requests only: no grid of 1e7 points is allocated
         budget = signals.MAX_GRID_POINTS
@@ -354,70 +367,6 @@ class TestSampleArgvProperty:
             assert len(payload["t"]) == len(payload["value"]) == rows
 
 
-# Values no grid may take, and one each that is tiny.
-SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
-                           5e-324, 1e-310])
-
-
-@st.composite
-def grid_argv(draw, command):
-    """A `verify` or `decompose` argv whose grid, when valid, has at most
-    200,001 points; each option may be left at its default."""
-    span = draw(st.one_of(SPECIAL, st.floats(1e-3, 64.0)))
-    finest = span / 1e5 if 0.0 < span < math.inf else 1e-3
-    dt = draw(st.one_of(SPECIAL, st.floats(finest, 2.0)))
-    options = [("--grid-span", span), ("--grid-dt", dt)]
-    if command == "decompose":
-        options.append(("--format", draw(st.sampled_from(["csv", "json"]))))
-    argv = [command]
-    for flag, value in options:
-        if draw(st.booleans()):
-            argv.append(f"{flag}={value!r}" if isinstance(value, float)
-                        else f"{flag}={value}")
-    return argv
-
-
-class TestGridArgvProperty:
-    """Every argv ends in exit 0, 1 or 2 with no traceback and no numpy
-    RuntimeWarning; exit 1 is a verify report that was written."""
-
-    def run(self, argv, out):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(argv + ["--output", str(out)])
-        assert not [w for w in caught if w.category is RuntimeWarning], \
-            [str(w.message) for w in caught]
-        return code
-
-    @settings(max_examples=12, deadline=None)
-    @given(argv=grid_argv("verify"))
-    @example(argv=["verify", "--grid-span=5e-324", "--grid-dt=5e-324"])
-    @example(argv=["verify", "--grid-dt=0.5"])
-    def test_verify(self, tmp_path_factory, argv):
-        out = tmp_path_factory.mktemp("verify") / "report.json"
-        code = self.run(argv, out)
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert not out.exists()
-            return
-        payload = json.loads(out.read_text())
-        assert payload["overall_pass"] == (code == 0)
-
-    @settings(max_examples=12, deadline=None)
-    @given(argv=grid_argv("decompose"))
-    @example(argv=["decompose", "--grid-span=5e-324", "--grid-dt=5e-324"])
-    @example(argv=["decompose", "--grid-dt=0.5", "--format=json"])
-    def test_decompose(self, tmp_path_factory, argv):
-        out = tmp_path_factory.mktemp("decompose")
-        code = self.run(argv, out)
-        assert code in (0, 2)
-        if code == 0:
-            fmt = "json" if "--format=json" in argv else "csv"
-            assert sorted(p.name for p in out.iterdir()) == sorted(
-                f"meyer_{name}.{fmt}" for name in
-                ("s_c", "s_s", "reconstruction", "reconstruction_error"))
-
-
 class TestCli:
     def test_sample_csv(self, tmp_path):
         out = tmp_path / "phi.csv"
@@ -479,49 +428,50 @@ class TestCli:
                              "--output", str(tmp_path / "x.csv")])
                 assert code == 2, (name, step)
 
+    @staticmethod
+    def assert_unknown_option(capsys, argv, out):
+        """argparse rejects argv before anything runs: exit 2, nothing on
+        stdout and no output."""
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--output", str(out)])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+        assert not out.exists()
+
+    # The signal grid of verify and decompose is fixed, so no argv can ask
+    # for a grid too coarse or invalid: each grid option is unknown, never
+    # a failed check.
     @pytest.mark.parametrize("command", ["decompose", "verify"])
     def test_coarse_grid_is_usage_error(self, tmp_path, capsys, command):
-        # rejected before any check runs, not reported as a failed check
-        out = tmp_path / ("out" if command == "decompose" else "r.json")
-        assert main([command, "--output", str(out), "--grid-dt", "0.5"]) == 2
-        captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: dt=0.5")
-        assert captured.out == ""
-        assert not out.exists()
+        self.assert_unknown_option(capsys, [command, "--grid-dt", "0.5"],
+                                   tmp_path / "out")
 
     @pytest.mark.parametrize("command", ["decompose", "verify"])
     @pytest.mark.parametrize("grid", [
         ["--grid-dt", "0"], ["--grid-dt", "nan"], ["--grid-span", "inf"],
-        ["--grid-dt", "-0.5"],
-        ["--grid-dt", "1e-9"]],     # rejected before anything is allocated
+        ["--grid-dt", "-0.5"], ["--grid-dt", "1e-9"]],
         ids=["dt_zero", "dt_nan", "span_inf", "dt_negative", "over_budget"])
     def test_bad_grid_is_usage_error(self, tmp_path, capsys, command, grid):
-        out = tmp_path / ("out" if command == "decompose" else "r.json")
-        assert main([command, "--output", str(out)] + grid) == 2
-        captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: grid")
-        assert captured.out == ""
-        assert not out.exists()
+        self.assert_unknown_option(capsys, [command] + grid, tmp_path / "out")
 
-    # the low-pass cutoff is fixed and every tolerance nominal: neither
-    # option exists, so argparse rejects it before anything runs
+    # the low-pass cutoff, the signal grid and the decompose format are
+    # fixed and every tolerance nominal: no such option exists
     @pytest.mark.parametrize("argv", [
         ["sample", "--function", "s_c", "--from", "-4", "--to", "4",
          "--step", "0.0625", "--cutoff", "6"],
         ["verify", "--cutoff", "6"],
         ["decompose", "--cutoff", "6"],
-        ["verify", "--tolerance-scale", "1e4"]],
+        ["verify", "--tolerance-scale", "1e4"],
+        ["verify", "--grid-span", "4"],
+        ["decompose", "--grid-span", "4"],
+        ["decompose", "--format", "json"]],
         ids=["sample_cutoff", "verify_cutoff", "decompose_cutoff",
-             "verify_tolerance_scale"])
+             "verify_tolerance_scale", "verify_grid_span",
+             "decompose_grid_span", "decompose_format"])
     def test_removed_option_is_usage_error(self, tmp_path, capsys, argv):
-        out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc_info:
-            main(argv + ["--output", str(out)])
-        assert exc_info.value.code == 2
-        assert capsys.readouterr().out == ""
-        assert not out.exists()
+        self.assert_unknown_option(capsys, argv, tmp_path / "out")
 
     @pytest.mark.parametrize("name", ["phi_oracle", "psi_oracle"])
     def test_oracle_at_huge_t_exits_0(self, capsys, name):
@@ -552,23 +502,29 @@ class TestCli:
         ["sample", "--function", "phi", "--from", "0", "--to", "1",
          "--step", "0.5", "--output"],
         ["verify", "--output"],
-        ["decompose", "--grid-dt", "0.0625", "--grid-span", "4",
-         "--output"]], ids=["sample", "verify", "decompose"])
+        ["decompose", "--output"]], ids=["sample", "verify", "decompose"])
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys, argv):
         blocker = tmp_path / "file"
         blocker.write_text("")
         assert main(argv + [str(blocker / "out")]) == 2
-        lines = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        # no verdict and no summary for an output that was never written
+        assert captured.out == ""
+        lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_decompose_writes_files(self, tmp_path):
-        code = main(["decompose", "--output", str(tmp_path),
-                     "--grid-dt", "0.03125", "--grid-span", "8"])
+        code = main(["decompose", "--output", str(tmp_path)])
         assert code == 0
         names = {p.name for p in tmp_path.iterdir()}
         assert names == {"meyer_s_c.csv", "meyer_s_s.csv",
                          "meyer_reconstruction.csv",
                          "meyer_reconstruction_error.csv"}
+        grid = export.grid_points(-16.0, 16.0, 1.0 / 64.0)
+        assert grid.size == 2049
+        for name in names:
+            _, t, _ = export.parse_csv((tmp_path / name).read_text())
+            assert np.array_equal(t, grid), name
         _, _, err = export.parse_csv(
             (tmp_path / "meyer_reconstruction_error.csv").read_text())
         n = len(err)

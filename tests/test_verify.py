@@ -1,4 +1,3 @@
-import inspect
 import json
 import math
 
@@ -7,7 +6,7 @@ import pytest
 
 from meyerwave import (closed_form, export, quadrature, signals, spectral,
                        verify)
-from meyerwave.cli import build_parser, main
+from meyerwave.cli import main
 
 EXPECTED_CHECKS = [
     "nu_complementarity",
@@ -91,10 +90,6 @@ class TestReport:
             assert name in table
 
 
-SECTIONS = ("_spectral_checks", "_closed_form_checks", "_oracle_checks",
-            "_signal_checks", "_export_checks")
-
-
 def scalar_continuity():
     """Reference: singularity_continuity as one scalar call per point."""
     worst = 0.0
@@ -122,37 +117,22 @@ class TestSingularityContinuity:
         assert check.value == scalar_continuity() > 100.0
 
 
-class TestCoarseGrid:
-    def test_coarse_grid_raises_before_any_check(self):
-        with pytest.raises(signals.GridTooCoarse):
-            verify.run_verification(grid_dt=0.5)
-
-    def test_step_too_fine_for_the_dft_raises_before_any_check(
-            self, monkeypatch):
-        # at span = dt = 5e-324 the grid has 3 points, but 1/(n*dt)
-        # overflows and the DFT bin frequencies are not finite
-        ran = []
-        for name in SECTIONS:
-            monkeypatch.setattr(verify, name,
-                                lambda *_, name=name: ran.append(name) or ())
-        with pytest.raises(signals.InvalidGrid, match="not finite"):
-            verify.run_verification(grid_dt=5e-324, grid_span=5e-324)
-        assert ran == []
-
-
 class TestGridDescription:
     def test_default_grid_ends_at_its_span(self, report):
         assert report.grid_description.startswith(
             "signal grid t in [-16.0, 16.0], dt=0.015625, ")
 
-    def test_states_the_last_sample(self):
-        # 10.3 / 0.03 rounds to 343 steps a side: the last sample is
-        # -10.3 + 686 * 0.03, about 10.28, not 10.3
-        end = -10.3 + 686 * 0.03
-        assert end == pytest.approx(10.28, abs=1e-12)
-        report = verify.run_verification(grid_span=10.3, grid_dt=0.03)
-        assert report.grid_description.startswith(
-            f"signal grid t in [-10.3, {end}], dt=0.03, ")
+
+class TestDecaySlope:
+    def test_fit_grid_is_the_arange_grid(self, monkeypatch):
+        # the fit's abscissas are np.arange(5, 50, 1/512) bit for bit, so
+        # decay_slope_offset_from_minus_3 keeps its bytes
+        seen = []
+        original = closed_form.psi
+        monkeypatch.setattr(closed_form, "psi",
+                            lambda t: seen.append(t) or original(t))
+        verify.decay_slope()
+        assert seen[0].tobytes() == np.arange(5.0, 50.0, 1.0 / 512).tobytes()
 
 
 class TestCliVerify:
@@ -173,13 +153,6 @@ class TestCliVerify:
             d.pop("timestamp")
             payloads.append(json.dumps(d, sort_keys=True))
         assert payloads[0] == payloads[1]
-
-    def test_default_grid_is_the_library_default(self):
-        defaults = inspect.signature(verify.run_verification).parameters
-        for command in ("verify", "decompose"):
-            args = build_parser().parse_args([command])
-            assert args.grid_dt == defaults["grid_dt"].default
-            assert args.grid_span == defaults["grid_span"].default
 
     def test_decay_and_eq8_claims_are_reported(self, report):
         # the two claims that do not hold at their stated tolerances are
