@@ -10,10 +10,10 @@ import numpy as np
 
 from meyerwave import (decompose_quadrature, psi, reconstruct_quadrature,
                        sample)
-from meyerwave.signals import dft, interior_slice, symmetric_grid
-from meyerwave.verify import SIGNAL_DT as dt, SIGNAL_SPAN as span
+from meyerwave.signals import dft, interior_slice
+from meyerwave.verify import (SIGNAL_DT as dt, SIGNAL_POINTS as n,
+                              SIGNAL_SPAN as span)
 
-n = symmetric_grid(span, dt)
 sig = sample(psi, -span, dt, n)
 
 s_c, s_s = decompose_quadrature(sig)

@@ -9,12 +9,11 @@ transition ramp leaves derivative kinks in the spectra, giving t^-2
 import numpy as np
 
 from meyerwave import envelope, phi, psi, sample, scale_from_wavelet
-from meyerwave.signals import interior_slice, symmetric_grid
-from meyerwave.verify import SIGNAL_DT, SIGNAL_SPAN, decay_slope
+from meyerwave.signals import interior_slice
+from meyerwave.verify import SIGNAL_DT, SIGNAL_POINTS, SIGNAL_SPAN, decay_slope
 
-n = symmetric_grid(SIGNAL_SPAN, SIGNAL_DT)
-sig = sample(psi, -SIGNAL_SPAN, SIGNAL_DT, n)
-inner = interior_slice(n)
+sig = sample(psi, -SIGNAL_SPAN, SIGNAL_DT, SIGNAL_POINTS)
+inner = interior_slice(SIGNAL_POINTS)
 t = sig.times
 
 env = envelope(sig).samples

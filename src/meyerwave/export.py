@@ -58,9 +58,11 @@ import numpy as np
 
 from . import closed_form, quadrature, signals, spectral
 
-__all__ = ["InvalidRequest", "ExportRequest", "SERIES", "FUNCTIONS",
-           "SPECTRUM_FUNCTIONS", "grid_points", "evaluate_series",
-           "write_csv", "write_json", "parse_csv"]
+__all__ = ["MAX_GRID_POINTS", "InvalidRequest", "ExportRequest", "SERIES",
+           "FUNCTIONS", "SPECTRUM_FUNCTIONS", "grid_points",
+           "evaluate_series", "write_csv", "write_json", "parse_csv"]
+
+MAX_GRID_POINTS = 10_000_000     # budget for any export grid
 
 
 class InvalidRequest(ValueError):
@@ -87,7 +89,7 @@ class ExportRequest:
             raise InvalidRequest(f"step must be positive and finite, got "
                                  f"{self.step!r}")
         if _grid_size(self.t_start, self.t_end, self.step) \
-                > signals.MAX_GRID_POINTS:
+                > MAX_GRID_POINTS:
             raise InvalidRequest("export would exceed the point budget")
 
 

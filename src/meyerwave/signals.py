@@ -42,13 +42,10 @@ CARRIER = 2.0 * np.pi            # synchronous-detection carrier w0
 CUTOFF = 2.0 * np.pi
 MAX_GRID_DT = 3.0 / 8.0          # Nyquist must exceed the 8pi/3 band edge
 INTERIOR_FRACTION = 0.8          # window used when quoting interior errors
-MAX_GRID_POINTS = 10_000_000     # budget for any grid sized from user input
 
 __all__ = [
     "CARRIER", "CUTOFF", "MAX_GRID_DT", "INTERIOR_FRACTION",
-    "MAX_GRID_POINTS", "InvalidGrid", "GridTooCoarse", "GridMismatch",
-    "SampledSignal",
-    "symmetric_grid", "sample", "require_fine_grid",
+    "InvalidGrid", "SampledSignal", "sample", "require_fine_grid",
     "dft", "idft", "hilbert",
     "decompose_quadrature", "reconstruct_quadrature",
     "scale_from_wavelet", "envelope", "interior_slice",
@@ -56,14 +53,6 @@ __all__ = [
 
 
 class InvalidGrid(ValueError):
-    pass
-
-
-class GridTooCoarse(ValueError):
-    pass
-
-
-class GridMismatch(ValueError):
     pass
 
 
@@ -111,19 +100,6 @@ class SampledSignal:
         # an in-place product or a kept fft output raises the peak RSS.
         coefficients = coefficients * (-1j * np.sign(freqs))
         return idft(self, coefficients)
-
-
-def symmetric_grid(span, dt):
-    """Point count n = 2m + 1 of the grid -span + k*dt, k < n, where m is
-    span/dt rounded to whole steps; the grid ends at +span only when
-    span/dt is whole (span 1 with dt 0.3 ends at 0.8)."""
-    half = span / dt if span > 0 and dt > 0 else np.nan
-    # NaN and inf fail this comparison: neither may reach int()
-    n = 2 * int(round(half)) + 1 if half < MAX_GRID_POINTS else 0
-    if not 2 <= n <= MAX_GRID_POINTS:
-        raise InvalidGrid(f"grid span={span}, dt={dt} must be positive and "
-                          f"give 2 to {MAX_GRID_POINTS} points")
-    return n
 
 
 def _grid(t0, dt, n):
@@ -176,9 +152,9 @@ def hilbert(s):
 
 
 def require_fine_grid(s):
-    """Raise GridTooCoarse unless s resolves the wavelet's 8pi/3 band edge."""
+    """Raise InvalidGrid unless s resolves the wavelet's 8pi/3 band edge."""
     if s.dt >= MAX_GRID_DT:
-        raise GridTooCoarse(
+        raise InvalidGrid(
             f"dt={s.dt} cannot represent the 8pi/3 band edge; need dt < 3/8")
 
 
@@ -210,7 +186,7 @@ def decompose_quadrature(psi_s):
 def reconstruct_quadrature(s_c, s_s):
     """Remodulate baseband components back onto the carrier."""
     if not s_c.same_grid(s_s):
-        raise GridMismatch("s_c and s_s must share the sampling grid")
+        raise InvalidGrid("s_c and s_s must share the sampling grid")
     t = s_c.times
     out = s_c.samples * np.cos(CARRIER * t) + s_s.samples * np.sin(CARRIER * t)
     return s_c.replace_samples(out)

@@ -75,18 +75,23 @@ def _pointwise(kernel, x, name):
     return out.item() if arr.ndim == 0 else out.reshape(arr.shape)
 
 
+def _ramp(x):
+    """nu on a 1-D float array: the one ramp of nu and of every taper."""
+    return np.clip(x, 0.0, 1.0)
+
+
 def nu(x):
     """Linear transition ramp: 0 below 0, identity on [0, 1], 1 above.
 
     Satisfies the complementarity nu(x) + nu(1 - x) = 1 on [0, 1], which is
     what makes the tapered bands below tile frequency.
     """
-    return _pointwise(lambda part: np.clip(part, 0.0, 1.0), x, "x")
+    return _pointwise(_ramp, x, "x")
 
 
 def _angle(aw, width):
-    """Taper angle pi/2 * nu(3|w|/width - 1), with nu inlined as a clip."""
-    return 0.5 * np.pi * np.clip(3.0 * aw / width - 1.0, 0.0, 1.0)
+    """Taper angle pi/2 * nu(3|w|/width - 1), by nu's own _ramp."""
+    return 0.5 * np.pi * _ramp(3.0 * aw / width - 1.0)
 
 
 # Branch tables over |w|; at 4pi/3 both wavelet rows give 1/sqrt(2pi).

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closed_form, export, quadrature, signals, spectral
-from .quadrature import phi_oracle, psi_oracle
 from .spectral import SQRT_2PI, W_LO, W_MID, W_HI
 
 # Closed form vs oracle: two orders above the 1e-10 bound on the oracle's
@@ -30,6 +29,7 @@ NORM_T_START, NORM_T_END, NORM_DT = -40.0, 41.0, 1.0 / 256.0
 # Signal grid of run_verification and the decompose command: 2,049
 # samples, t = -16 to 16.
 SIGNAL_DT, SIGNAL_SPAN = 1.0 / 64.0, 16.0
+SIGNAL_POINTS = 2 * round(SIGNAL_SPAN / SIGNAL_DT) + 1
 
 # Bound on |f(s) - f(s +/- h)| / h near removable singularities.
 CONTINUITY_SLOPE_BOUND = 50.0
@@ -40,7 +40,7 @@ DECAY_SAMPLES_PER_UNIT = 512
 DECAY_BLOCK_WIDTH = 1.5
 
 __all__ = ["Check", "VerificationReport", "run_verification", "decay_slope",
-           "ORACLE_COMPARE_TOL", "SIGNAL_DT", "SIGNAL_SPAN"]
+           "ORACLE_COMPARE_TOL", "SIGNAL_DT", "SIGNAL_SPAN", "SIGNAL_POINTS"]
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,8 @@ def _closed_form_checks():
 
     t = np.concatenate([np.linspace(-8.0, 8.0, 4001),
                         [p for points, _ in table.values() for p in points]])
-    phi_err = np.abs(closed_form.phi(t) - phi_oracle(t))
-    psi_err = np.abs(closed_form.psi(t) - psi_oracle(t))
+    phi_err = np.abs(closed_form.phi(t) - quadrature.phi_oracle(t))
+    psi_err = np.abs(closed_form.psi(t) - quadrature.psi_oracle(t))
     yield ("phi_oracle_agreement", float(np.max(phi_err)), ORACLE_COMPARE_TOL)
     yield ("psi_oracle_agreement", float(np.max(psi_err)), ORACLE_COMPARE_TOL)
 
@@ -229,12 +229,13 @@ def _oracle_checks():
     yield ("quadrature_scheme_independence", diff, 1e-10)
 
     w = np.linspace(W_LO, W_HI, 10_000)
-    lhs = 2.0 * spectral.scale_spectrum(w / 2.0) * spectral.scale_spectrum(w - 2.0 * np.pi)
+    lhs = 2.0 * quadrature._wavelet_integrand(w)
     rhs = (2.0 / SQRT_2PI) * spectral.wavelet_spectrum_magnitude(w)
     yield ("oracle_integrand_consistency", float(np.max(np.abs(lhs - rhs))), 1e-12)
 
     yield ("oracle_tail_decay",
-           max(abs(phi_oracle(30.0)), abs(psi_oracle(30.0))),
+           max(abs(quadrature.phi_oracle(30.0)),
+               abs(quadrature.psi_oracle(30.0))),
            1e-3)
 
 
@@ -288,8 +289,8 @@ def _export_checks():
 
 def _sampled_psi():
     """psi on the signal grid, as the signal checks and decompose take it."""
-    n = signals.symmetric_grid(SIGNAL_SPAN, SIGNAL_DT)
-    return signals.sample(closed_form.psi, -SIGNAL_SPAN, SIGNAL_DT, n)
+    return signals.sample(closed_form.psi, -SIGNAL_SPAN, SIGNAL_DT,
+                          SIGNAL_POINTS)
 
 
 def run_verification():

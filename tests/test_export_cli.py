@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from meyerwave import closed_form, export, signals
+from meyerwave import closed_form, export
 from meyerwave.cli import main
 from meyerwave.export import ExportRequest, InvalidRequest, evaluate_series
 from meyerwave.spectral import W_MID
@@ -55,7 +55,7 @@ class TestExportRequest:
 
     def test_point_budget_counts_both_ends(self):
         # validates requests only: no grid of 1e7 points is allocated
-        budget = signals.MAX_GRID_POINTS
+        budget = export.MAX_GRID_POINTS
         ExportRequest("phi", 0.0, budget - 1.0, 1.0)
         assert export._grid_size(0.0, budget - 1.0, 1.0) == budget
         with pytest.raises(InvalidRequest, match="point budget"):

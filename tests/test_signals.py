@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meyerwave import closed_form, signals
-from meyerwave.signals import (GridMismatch, GridTooCoarse, InvalidGrid,
-                               SampledSignal, decompose_quadrature, dft,
-                               envelope, hilbert, idft, interior_slice,
-                               reconstruct_quadrature, sample,
-                               scale_from_wavelet, symmetric_grid)
-from meyerwave.signals import CARRIER, CUTOFF, MAX_GRID_POINTS
+from meyerwave.signals import (InvalidGrid, SampledSignal,
+                               decompose_quadrature, dft, envelope, hilbert,
+                               idft, interior_slice, reconstruct_quadrature,
+                               sample, scale_from_wavelet)
+from meyerwave.signals import CARRIER, CUTOFF
 
 
 def make_tone(freq_cycles, n=256, dt=1.0 / 32.0, kind="cos"):
@@ -62,27 +61,6 @@ class TestGrid:
         want = t0 + dt * np.arange(n)
         got = signals._grid(t0, dt, n)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-class TestSymmetricGrid:
-    @pytest.mark.parametrize("span, dt, n", [(16.0, 1.0 / 64.0, 2049),
-                                             (1.0, 0.3, 7), (1.0, 0.4, 5)])
-    def test_rounds_half_width_to_whole_steps(self, span, dt, n):
-        assert symmetric_grid(span, dt) == n == 2 * round(span / dt) + 1
-
-    def test_largest_grid_within_budget(self):
-        assert symmetric_grid(0.5 * (MAX_GRID_POINTS - 2), 1.0) \
-            == MAX_GRID_POINTS - 1
-
-    @pytest.mark.parametrize("span, dt", [
-        (16.0, 0.0), (16.0, -0.5), (16.0, np.nan), (16.0, np.inf),
-        (0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
-        (0.1, 1.0),                           # one point
-        (0.5 * MAX_GRID_POINTS, 1.0),         # one point over the budget
-        (16.0, 1e-9), (1e300, 1e-300)])
-    def test_rejects(self, span, dt):
-        with pytest.raises(InvalidGrid):
-            symmetric_grid(span, dt)
 
 
 class TestDftIdft:
@@ -249,7 +227,7 @@ class TestDecomposition:
     span = 16.0
 
     def wavelet_signal(self):
-        n = symmetric_grid(self.span, self.dt)
+        n = 2 * round(self.span / self.dt) + 1
         return sample(closed_form.psi, -self.span, self.dt, n)
 
     def test_round_trip_closure(self):
@@ -283,13 +261,13 @@ class TestDecomposition:
 
     def test_coarse_grid_rejected(self):
         coarse = SampledSignal(0.0, 0.5, np.zeros(64))
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(InvalidGrid, match="8pi/3 band edge"):
             decompose_quadrature(coarse)
 
     def test_grid_mismatch_rejected(self):
         a = SampledSignal(0.0, 0.1, np.zeros(8))
         b = SampledSignal(1.0, 0.1, np.zeros(8))
-        with pytest.raises(GridMismatch):
+        with pytest.raises(InvalidGrid, match="share the sampling grid"):
             reconstruct_quadrature(a, b)
 
 
@@ -299,7 +277,7 @@ class TestScaleFromWavelet:
         assert np.max(np.abs(scale_from_wavelet(zero).samples)) < 1e-14
 
     def test_coarse_grid_rejected(self):
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(InvalidGrid, match="8pi/3 band edge"):
             scale_from_wavelet(SampledSignal(0.0, 0.5, np.zeros(64)))
 
     def test_output_is_baseband(self):

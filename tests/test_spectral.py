@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from meyerwave import closed_form, quadrature, signals
+from meyerwave import closed_form, quadrature
 from meyerwave.spectral import (SQRT_2PI, W_LO, W_MID, W_HI, nu,
                                 scale_spectrum, wavelet_spectrum,
                                 wavelet_spectrum_magnitude)
@@ -108,7 +108,7 @@ class TestWaveletSpectrum:
         # |t| = T, which sum to at most 2 C / (T sqrt(2pi)) in magnitude,
         # C = sup_{|t| >= T} |t^2 psi(t)|.
         T, dt = 512.0, 1.0 / 64.0
-        n = signals.symmetric_grid(T, dt)
+        n = 2 * round(T / dt) + 1
         t = -T + dt * np.arange(n)
         w = 2.0 * np.pi * np.fft.fftfreq(n, dt)
         dft = (dt / SQRT_2PI * np.exp(-1j * w * t[0])

@@ -180,9 +180,13 @@ CORRUPTIONS = [
      lambda f: lambda t: f(t) + 1e-10 * (np.asarray(t) - 0.5),
      "psi_center_symmetry"),
     # ~9.7e-3
-    (verify, "phi_oracle",
+    (quadrature, "phi_oracle",
      lambda f: lambda t: f(t) + 1e-2 * (np.asarray(t) == 30.0),
      "oracle_tail_decay"),
+    # ~3.2e-10: the check reads the oracle's own integrand
+    (quadrature, "_wavelet_integrand",
+     lambda f: lambda w: f(w) * (1.0 + 1e-9),
+     "oracle_integrand_consistency"),
     # ~2.96: H[H[x]] + x becomes 2x
     (signals, "hilbert", lambda f: lambda s: s, "hilbert_involution"),
 ]
@@ -232,8 +236,8 @@ class TestChecksCanFail:
                                               ("psi_oracle", 1.25)])
     def test_oracle_agreement_sees_a_singular_point(self, monkeypatch,
                                                     oracle, root):
-        original = getattr(verify, oracle)
-        monkeypatch.setattr(verify, oracle, lambda t: original(t)
+        original = getattr(quadrature, oracle)
+        monkeypatch.setattr(quadrature, oracle, lambda t: original(t)
                             + 1e-6 * (np.asarray(t) == root))
         check = oracle.replace("oracle", "oracle_agreement")
         assert not self.verdict(check).passed
@@ -266,6 +270,15 @@ class TestChecksCanFail:
             flat, (lo, hi, lambda aw: taper(aw) * (1.0 + 1e-9))))
         assert spectral.scale_spectrum(3.0) != before
         assert not self.verdict("branch_continuity").passed
+
+    def test_ramp_reaches_nu_and_the_tapers(self, monkeypatch):
+        # ~1e-9 and ~2.5e-10 off: nu and the spectra's tapers share _ramp
+        original = spectral._ramp
+        monkeypatch.setattr(spectral, "_ramp",
+                            lambda x: original(x) * (1.0 + 1e-9))
+        checks = {c.name: c for c in verify.run_verification().checks}
+        assert not checks["nu_complementarity"].passed
+        assert not checks["partition_of_unity_scale"].passed
 
     @pytest.mark.parametrize("name", ["partition_of_unity_scale_wavelet",
                                       "spectral_product_identity",
