@@ -1,8 +1,8 @@
 """Closed forms vs direct numerical inversion of the spectra.
 
 The inverse-Fourier integrals are split at the spectral branch points and
-evaluated with one fixed Gauss-Legendre rule per branch (a Filon rule
-takes |x| >= 20); the closed forms should agree to round-off everywhere,
+evaluated with one fixed Gauss-Legendre rule per branch (|x| >= 20 is
+integrated by parts); the closed forms should agree to round-off everywhere,
 including at the removable singularities.
 """
 

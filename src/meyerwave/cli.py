@@ -6,7 +6,7 @@ written and a step too small for the DFT bins to be finite).  verify and
 decompose take only --output: the signal grid (verify.SIGNAL_DT/SPAN) and
 the low-pass cutoff are fixed, decompose writes CSV and every verify
 tolerance is nominal.  The oracles do fixed work per point, so an oracle
-point at any |t| up to ~2e307 is sampled.
+point at any finite t is sampled.
 """
 
 import argparse

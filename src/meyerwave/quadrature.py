@@ -14,57 +14,60 @@ wide.  Two independent rule families share the work, chosen per point by
 x = t (phi) or x = t - 1/2 (psi).  Both do fixed work per point, so there
 is no tolerance, budget or convergence failure.
 
-|x| < FILON_FROM: one _GL_NODES-node Gauss-Legendre rule per branch
+|x| < FAR_FROM: one _GL_NODES-node Gauss-Legendre rule per branch
 [c - h, c + h], summed as cos(outer(x, w)) @ (f(w) h weights) over its
 nodes w.  The cosine turns through at most |x| h < 21 radians either side
 of c, which 32 nodes integrate to round-off: the rule agrees with the
 closed forms to ~3e-15 there, while 16 nodes would be off by ~4e-5 near
 |x| = 20.
 
-|x| >= FILON_FROM: Filon-Legendre (Filon 1928; Iserles & Norsett 2005).
-Each branch [c - h, c + h] is sampled once per call at _FILON_NODES
-Gauss-Legendre nodes and projected onto Legendre coefficients a_k; that
-polynomial is integrated against e^{iwx} exactly,
+|x| >= FAR_FROM: integration by parts (Lighthill 1958, ch. 4).  Each
+branch is sampled once per call at _FAR_NODES Gauss-Legendre nodes and
+fitted by a Legendre polynomial p; integrating p e^{iwx} by parts until
+it terminates, and summing over branches, leaves only the jumps J_k(b) =
+p_left^(k)(b) - p_right^(k)(b) of p's derivatives at the branch points b,
 
-    integral f(w) cos(w x) dw = Re[h e^{i|x|c} sum_k a_k 2 i^k j_k(|x| h)],
+    integral f(w) cos(wx) dw = -Re sum_b e^{ibx} sum_{k>=1} J_k(b) (i/x)^(k+1)
 
-where |x| may stand for x because the cosine integral is even in x, and
-the spherical Bessel functions j_k come from upward recurrence.  The work
-per point does not depend on x.  The recurrence amplifies round-off once
-the degree exceeds |x| h: with 16 nodes the rule still agrees with the
-closed forms to ~1e-15 down to |x| = 1, but is off by ~1e-11 at |x| = 0.5
-and by ~1e3 below it.  On 1 <= |x| < FILON_FROM both families are
-accurate, which the verification suite uses to measure their error.
+The k = 0 terms are dropped: the spectra are continuous, and the one
+nonzero end value, at w = 0, contributes an imaginary term.  Every b is a
+multiple of 2pi/3, so e^{ibx} takes x modulo 3 and stays accurate, and
+finite, at any finite x; the error is relative to the t^-2 tail.  The
+work per point does not depend on x.  The sum cancels once the degree
+exceeds |x| h: with 16 nodes the rule still agrees with the closed forms
+to ~3e-15 down to |x| = 1, but not below.  On 1 <= |x| < FAR_FROM both
+families are accurate, which the verification suite uses to measure
+their error.
 
-Each rule's nodes, weights and Legendre projection are built once per
-node count and shared, read-only, by every later call.  Both families
-only sample scale_spectrum, never the closed forms.
+Each rule's nodes, weights, Legendre projection and end derivatives are
+built once per node count and shared, read-only, by every later call.
+Both families only sample scale_spectrum, never the closed forms.
 
-Like the closed forms, the oracles evaluate t through spectral._pointwise.
-A Gauss-Legendre value can move in its last bit between batches, as BLAS
-rounds cos(x w) @ weights by its rows; a Filon value cannot.
+Like the closed forms, the oracles evaluate t through spectral._pointwise,
+and each value has the same bits in any batch.
 """
 
 from functools import cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
+from numpy.polynomial.legendre import leggauss, legder, legval, legvander
 
 from .spectral import (_BLOCK, _PHI_ROWS, _PSI_ROWS, SQRT_2PI, _pointwise,
                        scale_spectrum)
 
-__all__ = ["FILON_FROM", "phi_oracle", "psi_oracle"]
+__all__ = ["FAR_FROM", "phi_oracle", "psi_oracle"]
 
-# Oracle points with |x| at or above this use the Filon rule, the rest
-# Gauss-Legendre.
-FILON_FROM = 20.0
+# Oracle points with |x| at or above this are integrated by parts, the rest
+# by Gauss-Legendre.
+FAR_FROM = 20.0
 
 # Nodes per branch of the Gauss-Legendre rule.
 _GL_NODES = 32
 
-# Nodes per branch of the Filon rule.  The spectra's Legendre coefficients
-# fall to round-off by degree ~13, and each further one only adds noise.
-_FILON_NODES = 16
+# Nodes per branch of the far rule's fit.  The spectra's Legendre
+# coefficients reach round-off by degree ~13: 8 nodes leave a fit error,
+# and 20 or more cancel on 1 <= |x| < 2, where the degree exceeds |x| h.
+_FAR_NODES = 16
 
 # Branch points of the integrands: spectral row edges, and 2pi for psi.
 _PHI_BRANCHES = tuple(sorted({b for row in _PHI_ROWS for b in row[:2]}))
@@ -73,29 +76,34 @@ _PSI_BRANCHES = tuple(sorted({2.0 * np.pi, *(b for row in _PSI_ROWS for b in row
 
 @cache
 def _legendre_rule(n):
-    """Read-only nodes u, weights and projection of the n-node rule on
-    [-1, 1]: project @ f(u) is the Legendre coefficients of f's fit."""
+    """Read-only nodes u, weights, projection and ends of the n-node rule on
+    [-1, 1]: project @ f(u) is the Legendre coefficients of f's fit, and
+    ends[0] and ends[1] map those to the fit's derivatives 0..n-1 at u = -1
+    and u = +1."""
     u, weights = leggauss(n)
     project = (np.arange(n) + 0.5)[:, None] * (legvander(u, n - 1).T * weights)
-    for a in (u, weights, project):
+    ends = np.array([[legval(s, legder(np.eye(n), k)) for k in range(n)]
+                     for s in (-1.0, 1.0)])
+    for a in (u, weights, project, ends):
         a.flags.writeable = False
-    return u, weights, project
+    return u, weights, project, ends
 
 
 def _cos_sums(x, w, sw):
-    """cos(outer(x, w)) @ sw, in blocks of at most _BLOCK elements."""
+    """cos(outer(x, w)) @ sw, in blocks of at most _BLOCK elements, each row
+    summed alone so that its bits do not depend on the batch."""
     out = np.empty(x.size)
     rows = max(1, _BLOCK // w.size)
     for i in range(0, x.size, rows):
         block = np.multiply.outer(x[i:i + rows], w)
-        out[i:i + rows] = np.cos(block, out=block) @ sw
+        out[i:i + rows] = np.einsum("ij,j->i", np.cos(block, out=block), sw)
     return out
 
 
 def _gauss_legendre_integrals(spectrum, branches, x):
     """Sum over branches of integral spectrum(w) cos(w x) dw for a 1-D x,
     by one _GL_NODES-node Gauss-Legendre rule per branch."""
-    u, weights, _ = _legendre_rule(_GL_NODES)
+    u, weights, _, _ = _legendre_rule(_GL_NODES)
     out = np.zeros(x.size)
     for lo, hi in zip(branches, branches[1:]):
         c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -104,44 +112,34 @@ def _gauss_legendre_integrals(spectrum, branches, x):
     return out
 
 
-def _bessel_sums(z, coef):
-    """sum_k coef[k] i^k j_k(z) for z > 0 as (real, imaginary) parts, with
-    j_k by upward recurrence, which is stable while k stays below z."""
-    signed = coef * np.array([1.0, 1.0, -1.0, -1.0])[np.arange(coef.size) % 4]
-    sin, cos = np.sin(z), np.cos(z)
-    prev = sin / z                      # j_0
-    cur = (prev - cos) / z              # j_1, without squaring a large z
-    parts = [signed[0] * prev, signed[1] * cur]
-    for k in range(1, coef.size - 1):
-        prev, cur = cur, (2 * k + 1) / z * cur - prev
-        parts[(k + 1) % 2] += signed[k + 1] * cur
-    return parts
-
-
-def _filon_integrals(spectrum, branches, x):
+def _parts_integrals(spectrum, branches, x):
     """Sum over branches of integral spectrum(w) cos(w x) dw for a 1-D x,
-    by the Filon-Legendre rule."""
-    ax = np.abs(x)
-    limit = np.finfo(float).max / branches[-1]     # so that c |x| is finite
-    if ax.max() > limit:
-        raise ValueError(f"t must be below {limit:.3g} in magnitude")
-    u, _, project = _legendre_rule(_FILON_NODES)
-    out = np.zeros(x.size)
-    for lo, hi in zip(branches, branches[1:]):
+    by parts from the jumps of each branch's _FAR_NODES-node fit."""
+    u, _, project, ends = _legendre_rule(_FAR_NODES)
+    jumps = np.zeros((len(branches), _FAR_NODES))
+    for j, (lo, hi) in enumerate(zip(branches, branches[1:])):
         c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        # project first: folding ends @ project into one matrix loses digits
         coef = project @ spectrum(c + h * u)
-        re, im = _bessel_sums(h * ax, coef)
-        out += 2.0 * h * (np.cos(c * ax) * re - np.sin(c * ax) * im)
+        at = ends @ coef / h ** np.arange(_FAR_NODES)
+        jumps[j] -= at[0]
+        jumps[j + 1] += at[1]
+    z = 1j / x
+    phase = np.fmod(x, 3.0)
+    out = np.zeros(x.size)
+    for b, jump in zip(branches, jumps):
+        term = np.exp(1j * b * phase) * np.polyval(jump[:0:-1], z)
+        out -= (term * z**2).real
     return out
 
 
 def _branch_integrals(spectrum, branches, x):
     """Sum over branches of integral spectrum(w) cos(w x) dw for a 1-D x:
-    Filon-Legendre where |x| >= FILON_FROM, Gauss-Legendre elsewhere."""
+    by parts where |x| >= FAR_FROM, Gauss-Legendre elsewhere."""
     out = np.empty(x.size)
-    far = np.abs(x) >= FILON_FROM
+    far = np.abs(x) >= FAR_FROM
     if far.any():
-        out[far] = _filon_integrals(spectrum, branches, x[far])
+        out[far] = _parts_integrals(spectrum, branches, x[far])
     if not far.all():
         out[~far] = _gauss_legendre_integrals(spectrum, branches, x[~far])
     return out

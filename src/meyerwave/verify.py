@@ -213,13 +213,13 @@ def _closed_form_checks():
 
 
 def _oracle_checks():
-    # Both rule families are accurate on 1 <= |x| < FILON_FROM, where the
+    # Both rule families are accurate on 1 <= |x| < FAR_FROM, where the
     # oracles use Gauss-Legendre alone, so their difference there measures
     # the quadrature error.
-    x = np.linspace(1.0, quadrature.FILON_FROM, 381, endpoint=False)
+    x = np.linspace(1.0, quadrature.FAR_FROM, 381, endpoint=False)
     x = np.concatenate([-x, x])
     diff = max(scale * float(np.max(np.abs(
-                   quadrature._filon_integrals(f, branches, x)
+                   quadrature._parts_integrals(f, branches, x)
                    - quadrature._gauss_legendre_integrals(f, branches, x))))
                for scale, f, branches in (
                    (2.0 / SQRT_2PI, spectral.scale_spectrum,

@@ -475,7 +475,7 @@ class TestCli:
 
     @pytest.mark.parametrize("name", ["phi_oracle", "psi_oracle"])
     def test_oracle_at_huge_t_exits_0(self, capsys, name):
-        # |t| up to 1e9 takes the Filon rule, whose work does not grow
+        # |t| up to 1e9 is integrated by parts, whose work does not grow
         # with t, so no node budget stops it
         assert main(["sample", "--function", name, "--from", "0",
                      "--to", "1e9", "--step", "1e6"]) == 0

@@ -70,7 +70,7 @@ class TestReport:
             assert by_name[name].passed, f"{name}: {by_name[name]}"
 
     def test_scheme_independence_measures_a_difference(self, report):
-        # Filon and Gauss-Legendre agree closely but not bit for bit
+        # the two rules agree closely but not bit for bit
         check = {c.name: c for c in report.checks}[
             "quadrature_scheme_independence"]
         assert 0.0 < check.value <= check.tolerance
@@ -202,6 +202,11 @@ class TestChecksCanFail:
     def test_scheme_independence_sees_a_16_node_rule(self, monkeypatch):
         # ~4e-5 off at |x| near 20
         monkeypatch.setattr(quadrature, "_GL_NODES", 16)
+        assert not self.verdict("quadrature_scheme_independence").passed
+
+    def test_scheme_independence_sees_an_8_node_fit(self, monkeypatch):
+        # ~2.7e-8: the far rule's fit misses the spectra
+        monkeypatch.setattr(quadrature, "_FAR_NODES", 8)
         assert not self.verdict("quadrature_scheme_independence").passed
 
     def test_spectral_energy_sees_a_scaled_density(self, monkeypatch):
