@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +136,13 @@ class TestHilbert:
         s = SampledSignal(0.0, 1.0, np.full(16, 2.5))
         assert np.max(np.abs(hilbert(s).samples)) < 1e-12
 
+    @pytest.mark.parametrize("dt", [1e-312, 5e-324, 1e-308])
+    def test_rejects_step_with_non_finite_bins(self, dt):
+        # as dft does, although the multiplier needs only each bin's sign
+        with np.errstate(all="raise"):
+            with pytest.raises(InvalidGrid, match="not finite"):
+                hilbert(SampledSignal(0.0, dt, np.ones(101)))
+
     @pytest.mark.parametrize("n", [2, 16, 256])
     def test_annihilates_nyquist(self, n):
         # all of (-1)^k sits in the Nyquist bin, which the multiplier turns
@@ -174,6 +183,70 @@ class TestDecomposeMatchesTwoLowpasses:
             assert (out.t0, out.dt) == (sig.t0, sig.dt)
 
 
+def reference_hilbert(s):
+    """The Hilbert transform out of place, a new array at each step."""
+    freqs = 2.0 * np.pi * np.fft.fftfreq(s.samples.size, s.dt)
+    coefficients = np.fft.fft(s.samples) * (-1j * np.sign(freqs))
+    return np.fft.ifft(coefficients).real
+
+
+def reference_baseband(psi_s):
+    """(s_c, s_s) from one complex baseband, transformed out of place."""
+    t = psi_s.times
+    beyond = np.abs(2.0 * np.pi * np.fft.fftfreq(t.size, psi_s.dt)) > CUTOFF
+    mixed = np.empty(t.size, dtype=complex)
+    mixed.real = np.cos(CARRIER * t)
+    mixed.imag = -np.sin(CARRIER * t)
+    mixed *= 2.0 * psi_s.samples
+    coefficients = np.fft.fft(mixed)
+    coefficients[beyond] = 0.0
+    baseband = np.fft.ifft(coefficients)
+    return baseband.real, -baseband.imag
+
+
+class TestTransformsInPlace:
+    dt = 1.0 / 64.0
+
+    # t0 is off the grid k*dt; only an even n has a Nyquist bin
+    @pytest.mark.parametrize("n", [2049, 2048], ids=["odd", "even"])
+    def test_bits_equal_out_of_place(self, n):
+        sig = sample(closed_form.psi, -15.75 + 0.37 * self.dt, self.dt, n)
+        t = sig.times
+        h = reference_hilbert(sig)
+        ref_c, ref_s = reference_baseband(sig)
+        s_c, s_s = decompose_quadrature(sig)
+        pairs = [
+            (hilbert(sig), h),
+            (s_c, ref_c),
+            (s_s, ref_s),
+            (scale_from_wavelet(sig), sig.samples * np.cos(CARRIER * t)
+             + h * np.sin(CARRIER * t)),
+            (envelope(sig), np.sqrt(sig.samples**2 + h**2)),
+        ]
+        for got, want in pairs:
+            assert got.samples.tobytes() == want.tobytes()
+
+    # tracemalloc sees numpy's data buffers, not pocketfft's workspace.
+    # Out of place, hilbert peaked at 3.1 and decompose_quadrature at 5.1
+    # full-length complex arrays (16n bytes each) above the start.
+    @pytest.mark.parametrize("transform, arrays", [
+        (hilbert, 2.5), (decompose_quadrature, 4.0)],
+        ids=["hilbert", "decompose_quadrature"])
+    def test_numpy_allocation_peak(self, transform, arrays):
+        n = 65_537
+        # numpy's first transform in a process allocates one-time state
+        transform(SampledSignal(0.0, self.dt, np.ones(n)))
+        sig = sample(closed_form.psi, -512.0 + 0.37 * self.dt, self.dt, n)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            transform(sig)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= arrays * 16 * n
+
+
 class TestHilbertCache:
     def wavelet_signal(self):
         return sample(closed_form.psi, -8.0, 1.0 / 64.0, 1025)
@@ -197,12 +270,12 @@ class TestHilbertCache:
     def test_cached_result_is_bit_identical_to_uncached(self):
         sig = self.wavelet_signal()
         first, second = hilbert(sig), hilbert(sig)
-        assert np.array_equal(first.samples, second.samples)
+        assert first.samples.tobytes() == second.samples.tobytes()
         fresh = hilbert(sig.replace_samples(sig.samples))
-        assert np.array_equal(first.samples, fresh.samples)
+        assert first.samples.tobytes() == fresh.samples.tobytes()
         freqs, coefficients = dft(sig)
         rotated = idft(sig, coefficients * (-1j * np.sign(freqs)))
-        assert np.array_equal(first.samples, rotated.samples)
+        assert first.samples.tobytes() == rotated.samples.tobytes()
 
     def test_scale_and_envelope_share_one_forward_transform(self,
                                                             monkeypatch):
