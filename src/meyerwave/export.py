@@ -10,7 +10,12 @@ which has no spacing.
 Both writers format ``_ROWS`` rows at a time and write each chunk with one
 call, so a file is never held whole in memory.  The bytes are those a
 per-row loop (CSV) or ``json.dump(payload, stream, indent=2)`` (JSON)
-would write.
+would write.  ``evaluate_series`` returns the grid and the values of a
+pointwise series (the closed forms, spectra and oracles) as columns that
+are computed ``_BLOCK`` points at a time as the writers read them, so no
+full-length grid or value array exists either: a ``sample`` of any length
+runs in the same memory.  The psi-sampled series (``envelope``, ``s_c``,
+``s_s``) take the DFT of the whole window and are one array.
 
 Both writers compute their digits in numpy, a chunk at a time, with
 integer arithmetic only.  A double is exactly M * 2**E with a 53-bit M.
@@ -88,9 +93,15 @@ class ExportRequest:
         if not 0 < self.step < math.inf:
             raise InvalidRequest(f"step must be positive and finite, got "
                                  f"{self.step!r}")
-        if _grid_size(self.t_start, self.t_end, self.step) \
-                > MAX_GRID_POINTS:
+        n = _grid_size(self.t_start, self.t_end, self.step)
+        if n > MAX_GRID_POINTS:
             raise InvalidRequest("export would exceed the point budget")
+        # the last grid point is the largest, and computed as the grid
+        # computes it
+        if not math.isfinite((n - 1) * self.step + self.t_start):
+            raise InvalidRequest(f"the last grid point overflows: "
+                                 f"{n} points of step {self.step!r} from "
+                                 f"{self.t_start!r}")
 
 
 def _grid_size(t_start, t_end, step):
@@ -111,40 +122,91 @@ def _psi_signal(t, step):
     return sig
 
 
-# name -> (axis label, evaluator(t, step)), in the CLI's
-# choices order.  Evaluators look library functions up through their
-# module on each call, so that a replaced module attribute takes effect.
+# name -> (axis label, evaluator, pointwise), in the CLI's choices order.
+# A pointwise evaluator maps abscissas t to values, each value from its
+# own t alone, so it is evaluated a block at a time; the others take the
+# whole window t and its step.  Evaluators look library functions up
+# through their module on each call, so that a replaced module attribute
+# takes effect.
 SERIES = {
-    "phi": ("t", lambda t, *_: closed_form.phi(t)),
-    "psi": ("t", lambda t, *_: closed_form.psi(t)),
-    "psi1": ("t", lambda t, *_: closed_form.psi1(t)),
-    "psi2": ("t", lambda t, *_: closed_form.psi2(t)),
-    "phi_spectrum": ("w", lambda t, *_: spectral.scale_spectrum(t)),
+    "phi": ("t", lambda t: closed_form.phi(t), True),
+    "psi": ("t", lambda t: closed_form.psi(t), True),
+    "psi1": ("t", lambda t: closed_form.psi1(t), True),
+    "psi2": ("t", lambda t: closed_form.psi2(t), True),
+    "phi_spectrum": ("w", lambda t: spectral.scale_spectrum(t), True),
     "psi_spectrum_magnitude":
-        ("w", lambda t, *_: spectral.wavelet_spectrum_magnitude(t)),
+        ("w", lambda t: spectral.wavelet_spectrum_magnitude(t), True),
     "envelope": ("t", lambda t, step:
-                 signals.envelope(_psi_signal(t, step)).samples),
+                 signals.envelope(_psi_signal(t, step)).samples, False),
     "s_c": ("t", lambda t, step: signals.decompose_quadrature(
-        _psi_signal(t, step))[0].samples),
+        _psi_signal(t, step))[0].samples, False),
     "s_s": ("t", lambda t, step: signals.decompose_quadrature(
-        _psi_signal(t, step))[1].samples),
-    "phi_oracle": ("t", lambda t, *_: quadrature.phi_oracle(t)),
-    "psi_oracle": ("t", lambda t, *_: quadrature.psi_oracle(t)),
+        _psi_signal(t, step))[1].samples, False),
+    "phi_oracle": ("t", lambda t: quadrature.phi_oracle(t), True),
+    "psi_oracle": ("t", lambda t: quadrature.psi_oracle(t), True),
 }
 FUNCTIONS = tuple(SERIES)
 # functions evaluated against an angular-frequency axis
-SPECTRUM_FUNCTIONS = tuple(name for name, (label, _) in SERIES.items()
+SPECTRUM_FUNCTIONS = tuple(name for name, (label, *_) in SERIES.items()
                            if label == "w")
+
+_ROWS = 1 << 12      # rows per formatted chunk and per stream.write
+# Points per evaluation block, 2 MiB per float64 column.  A block spans
+# many chunks: glibc keeps the heap that formatting a chunk takes only
+# while that is at most twice the largest block freed.  With one 8,192-
+# point block per chunk it trimmed and faulted the heap back in for every
+# chunk: an 800,001-row psi CSV took 130,000 minor faults, against 4,600
+# at this size.
+_BLOCK = 1 << 18
+
+
+class _Column:
+    """n values that evaluate(lo, hi) computes a block at a time as they
+    are read, for the writers to read a slice at a time.  Only the last
+    block is kept: a slice outside it evaluates the block that starts
+    where the slice does, _BLOCK points or the slice, whichever is
+    longer.  An index gives a numpy scalar, and np.asarray a copy of the
+    whole column."""
+
+    def __init__(self, n, evaluate):
+        self._n = n
+        self._evaluate = evaluate
+        self._lo = 0
+        self._block = np.empty(0)
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, key):
+        rows = range(self._n)[key]
+        if isinstance(rows, int):
+            return self[rows:rows + 1][0]
+        if rows.step != 1:
+            raise IndexError("a column is read in unit steps")
+        lo, hi = rows.start, max(rows.start, rows.stop)
+        if lo < self._lo or hi > self._lo + self._block.size:
+            # drop the last block first: the two are never held at once
+            self._lo, self._block = lo, np.empty(0)
+            self._block = self._evaluate(
+                lo, max(hi, min(lo + _BLOCK, self._n)))
+        return self._block[lo - self._lo:hi - self._lo]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self[:], dtype=dtype)
 
 
 def evaluate_series(req):
-    """Evaluate the requested series; returns (axis_label, axis, values)."""
-    t = grid_points(req.t_start, req.t_end, req.step)
-    label, evaluate = SERIES[req.function]
-    return label, t, evaluate(t, req.step)
+    """The requested series as (axis_label, axis, values).  The axis is a
+    column of grid points, and so are the values of a pointwise series;
+    the psi-sampled series are evaluated here, on the whole window."""
+    n = _grid_size(req.t_start, req.t_end, req.step)
+    axis = _Column(n, lambda lo, hi: signals._grid(req.t_start, req.step,
+                                                   hi, lo))
+    label, evaluate, pointwise = SERIES[req.function]
+    if pointwise:
+        return label, axis, _Column(n, lambda lo, hi: evaluate(axis[lo:hi]))
+    return label, axis, evaluate(axis[:], req.step)
 
-
-_ROWS = 1 << 13      # rows per formatted chunk and per stream.write
 
 _POW5 = np.array([5 ** q for q in range(28)], dtype=np.uint64)
 _POW10 = np.array([1, 10, 100], dtype=np.uint64)

@@ -113,9 +113,11 @@ class SampledSignal:
         return self.replace_samples(c.real)
 
 
-def _grid(t0, dt, n):
-    """t0 + dt * np.arange(n), bit for bit, with no full-length temporary."""
-    t = np.arange(n, dtype=float)
+def _grid(t0, dt, stop, start=0):
+    """t0 + dt * np.arange(start, stop), bit for bit, with no full-length
+    temporary: points start .. stop - 1 of the grid, the same bits in any
+    block."""
+    t = np.arange(start, stop, dtype=float)
     t *= dt
     t += t0
     return t

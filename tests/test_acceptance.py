@@ -142,15 +142,15 @@ class TestCriterion7Contracts:
 
 class TestFigureFeatures:
     def test_scale_spectrum_support(self):
-        _, w, v = export.evaluate_series(
-            export.ExportRequest("phi_spectrum", 0.0, W_MID + 1.0, 0.005))
+        _, w, v = map(np.asarray, export.evaluate_series(
+            export.ExportRequest("phi_spectrum", 0.0, W_MID + 1.0, 0.005)))
         ok = bool(np.all(v[w > W_MID + 1e-9] == 0.0))
         report_line("fig1_support_bound", 0.0 if ok else 1.0, 0.0, ok)
         assert ok
 
     def test_wavelet_spectrum_band_centre(self):
-        _, w, v = export.evaluate_series(
-            export.ExportRequest("psi_spectrum_magnitude", 0.0, 10.0, 0.001))
+        _, w, v = map(np.asarray, export.evaluate_series(
+            export.ExportRequest("psi_spectrum_magnitude", 0.0, 10.0, 0.001)))
         support = w[v > 0.0]
         centre = 0.5 * (support[0] + support[-1])
         gate("fig2_band_centre", abs(centre - 5.0 * np.pi / 3.0), 0.01)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from meyerwave import closed_form, export
+from meyerwave import closed_form, export, quadrature, signals
 from meyerwave.cli import main
 from meyerwave.export import ExportRequest, InvalidRequest, evaluate_series
 from meyerwave.spectral import W_MID
@@ -53,6 +54,25 @@ class TestExportRequest:
         assert captured.err.splitlines() == [
             f"error: start and end must be finite, got {bad}"]
 
+    def test_rejects_overflowing_last_point(self, tmp_path, capsys):
+        # both ends are finite, but start + step, the second and last grid
+        # point, is past the largest double: no grid is built
+        start, end = 1.7876931348623208e308, 1.7976931348623157e308
+        step = 1e306
+        with pytest.raises(InvalidRequest, match="overflows"):
+            ExportRequest("psi", start, end, step)
+        out = tmp_path / "far.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sample", "--function", "psi", f"--from={start!r}",
+                         f"--to={end!r}", f"--step={step!r}",
+                         "--output", str(out)]) == 2
+        assert not caught, [str(w.message) for w in caught]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
     def test_point_budget_counts_both_ends(self):
         # validates requests only: no grid of 1e7 points is allocated
         budget = export.MAX_GRID_POINTS
@@ -72,11 +92,12 @@ class TestSeries:
         label, w, v = evaluate_series(
             ExportRequest("phi_spectrum", 0.0, W_MID + 1.0, 0.01))
         assert label == "w"
+        w, v = np.asarray(w), np.asarray(v)
         assert np.all(v[w > W_MID + 1e-9] == 0.0)
 
     def test_wavelet_band_centre(self):
-        _, w, v = evaluate_series(
-            ExportRequest("psi_spectrum_magnitude", 0.0, 10.0, 0.001))
+        _, w, v = map(np.asarray, evaluate_series(
+            ExportRequest("psi_spectrum_magnitude", 0.0, 10.0, 0.001)))
         support = w[v > 0.0]
         centre = 0.5 * (support[0] + support[-1])
         assert centre == pytest.approx(5.0 * np.pi / 3.0, abs=0.01)
@@ -96,7 +117,7 @@ class TestSeries:
             ExportRequest(name, -1.0, 1.0, 0.25))
         assert label == export.SERIES[name][0]
         assert label == ("w" if name in export.SPECTRUM_FUNCTIONS else "t")
-        assert axis.shape == values.shape == (9,)
+        assert np.shape(axis) == np.shape(values) == (9,)
         assert np.all(np.isfinite(values))
 
     def test_csv_round_trip_exact(self):
@@ -153,8 +174,8 @@ finite_or_extreme = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                               st.sampled_from(EXTREMES))
 
 
-# row counts a row either side of a chunk boundary four chunks in
-SPAN = 4 * export._ROWS
+# row counts a row either side of a chunk boundary eight chunks in
+SPAN = 8 * export._ROWS
 
 
 class TestWritersMatchReference:
@@ -183,6 +204,80 @@ class TestWritersMatchReference:
                                       (export.write_json,
                                        reference_write_json)):
                 assert_same_bytes(writer, reference, t, v)
+
+
+def sample_to(out, function, fmt, start, step, n):
+    """Run `sample` for n grid points from start into out; returns the
+    range's end."""
+    stop = start + step * (n - 1)
+    assert main(["sample", "--function", function, "--format", fmt,
+                 f"--from={start!r}", f"--to={stop!r}", f"--step={step!r}",
+                 "--output", str(out)]) == 0
+    return stop
+
+
+def sampled(tmp_path, function, fmt, start, step, n):
+    """The text that `sample` writes for n grid points from start, and
+    the grid."""
+    out = tmp_path / f"{function}.{fmt}"
+    grid = export.grid_points(start, sample_to(out, function, fmt, start,
+                                               step, n), step)
+    assert len(grid) == n
+    return out.read_text(), grid
+
+
+class TestStreamedSample:
+    """sample evaluates and writes a pointwise series a block at a time,
+    and a psi-sampled one on the whole window: the bytes are those of the
+    per-row references on the whole grid."""
+
+    STEP = 1.0 / 64.0
+    REFERENCES = {"csv": reference_write_csv, "json": reference_write_json}
+    DIRECT = {"psi": closed_form.psi, "psi_oracle": quadrature.psi_oracle,
+              "envelope": lambda t: signals.envelope(signals.SampledSignal(
+                  t[0], TestStreamedSample.STEP, closed_form.psi(t))).samples}
+
+    def assert_streamed_bytes(self, tmp_path, function, fmt, n):
+        got, grid = sampled(tmp_path, function, fmt, -3.0, self.STEP, n)
+        want = written(self.REFERENCES[fmt], grid, self.DIRECT[function](grid),
+                       name=function)
+        assert got == want
+
+    # a chunk of 8 rows divides the block, one of 7 straddles its edges
+    @pytest.mark.parametrize("rows", [8, 7])
+    @pytest.mark.parametrize("n", [31, 32, 33])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("function", ["psi", "psi_oracle", "envelope"])
+    def test_bytes_at_block_edges(self, tmp_path, function, fmt, n, rows):
+        with mock.patch.object(export, "_BLOCK", 32), \
+                mock.patch.object(export, "_ROWS", rows):
+            self.assert_streamed_bytes(tmp_path, function, fmt, n)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_one_past_a_block(self, tmp_path, fmt):
+        self.assert_streamed_bytes(tmp_path, "psi", fmt, export._BLOCK + 1)
+
+    # A 1,000,001-point grid and its values alone take 16 MB.  sample
+    # holds one block of each (2 x 2 MiB), the evaluation's temporaries
+    # and one formatted chunk at a time: 7.2 MB for psi and 6.0 MB for
+    # the phi JSON, measured with numpy 2.4.
+    PEAK_BYTES = 10_000_000
+
+    @pytest.mark.parametrize("function, fmt, n", [("psi", "csv", 1_000_001),
+                                                  ("phi", "json", 300_001)])
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path, function,
+                                                fmt, n):
+        out = tmp_path / f"{function}.{fmt}"
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            stop = sample_to(out, function, fmt, -50.0, 1e-4, n)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_BYTES
+        assert len(out.read_text().splitlines()) > n
+        assert len(export.grid_points(-50.0, stop, 1e-4)) == n
 
 
 class TestCsvDigits:
