@@ -1,17 +1,19 @@
 """Command-line front end: sample/export waveforms, verify, decompose.
 
 Exit codes: 0 success (and verification pass), 1 verification failure,
-2 usage error (including an unknown option, an output that cannot be
-written and a step too small for the DFT bins to be finite).  verify and
-decompose take only --output: the signal grid (verify.SIGNAL_DT/SPAN) and
-the low-pass cutoff are fixed, decompose writes CSV and every verify
-tolerance is nominal.  The oracles do fixed work per point, so an oracle
-point at any finite t is sampled.
+2 usage error (an unknown option, a grid that signals.InvalidGrid
+rejects, export.ExportRequest's included, or an output that cannot be
+written), 3 internal error (any other exception, after its traceback).
+verify and decompose take only --output: the signal grid
+(verify.SIGNAL_DT/SPAN) and the low-pass cutoff are fixed, decompose
+writes CSV and every verify tolerance is nominal.  The oracles do fixed
+work per point, so an oracle point at any finite t is sampled.
 """
 
 import argparse
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from . import export, signals, verify
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 def build_parser():
@@ -104,15 +107,22 @@ def main(argv=None):
                 "decompose": _cmd_decompose}
     try:
         return handlers[args.command](args)
-    # every library usage error subclasses ValueError; an OSError is an
-    # output path that cannot be written
-    except (ValueError, OSError) as exc:
+    # a rejected grid raises InvalidGrid, and an output path that cannot be
+    # written an OSError; anything else is a bug, left to entry_point
+    except (signals.InvalidGrid, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def entry_point():
-    sys.exit(main())
+    try:
+        code = main()
+    # a bug is neither a usage error nor a failed check; SystemExit and
+    # KeyboardInterrupt are no Exception and pass through
+    except Exception:
+        traceback.print_exc()
+        code = EXIT_INTERNAL_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -63,15 +63,11 @@ import numpy as np
 
 from . import closed_form, quadrature, signals, spectral
 
-__all__ = ["MAX_GRID_POINTS", "InvalidRequest", "ExportRequest", "SERIES",
-           "FUNCTIONS", "SPECTRUM_FUNCTIONS", "grid_points",
-           "evaluate_series", "write_csv", "write_json", "parse_csv"]
+__all__ = ["MAX_GRID_POINTS", "ExportRequest", "SERIES", "FUNCTIONS",
+           "SPECTRUM_FUNCTIONS", "grid_points", "evaluate_series",
+           "write_csv", "write_json", "parse_csv"]
 
 MAX_GRID_POINTS = 10_000_000     # budget for any export grid
-
-
-class InvalidRequest(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -83,25 +79,25 @@ class ExportRequest:
 
     def __post_init__(self):
         if self.function not in FUNCTIONS:
-            raise InvalidRequest(f"unknown function {self.function!r}")
+            raise signals.InvalidGrid(f"unknown function {self.function!r}")
         for value in (self.t_start, self.t_end):
             if not math.isfinite(value):
-                raise InvalidRequest(f"start and end must be finite, got "
-                                     f"{value!r}")
+                raise signals.InvalidGrid(f"start and end must be finite, "
+                                          f"got {value!r}")
         if not (self.t_start < self.t_end):
-            raise InvalidRequest("start must be below end")
+            raise signals.InvalidGrid("start must be below end")
         if not 0 < self.step < math.inf:
-            raise InvalidRequest(f"step must be positive and finite, got "
-                                 f"{self.step!r}")
+            raise signals.InvalidGrid(f"step must be positive and finite, "
+                                      f"got {self.step!r}")
         n = _grid_size(self.t_start, self.t_end, self.step)
         if n > MAX_GRID_POINTS:
-            raise InvalidRequest("export would exceed the point budget")
+            raise signals.InvalidGrid("export would exceed the point budget")
         # the last grid point is the largest, and computed as the grid
         # computes it
         if not math.isfinite((n - 1) * self.step + self.t_start):
-            raise InvalidRequest(f"the last grid point overflows: "
-                                 f"{n} points of step {self.step!r} from "
-                                 f"{self.t_start!r}")
+            raise signals.InvalidGrid(f"the last grid point overflows: "
+                                      f"{n} points of step {self.step!r} "
+                                      f"from {self.t_start!r}")
 
 
 def _grid_size(t_start, t_end, step):

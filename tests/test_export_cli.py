@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from meyerwave import closed_form, export, quadrature, signals
-from meyerwave.cli import main
-from meyerwave.export import ExportRequest, InvalidRequest, evaluate_series
+from meyerwave import closed_form, export, quadrature, signals, verify
+from meyerwave.cli import entry_point, main
+from meyerwave.export import ExportRequest, evaluate_series
+from meyerwave.signals import InvalidGrid
 from meyerwave.spectral import W_MID
 from meyerwave.verify import ORACLE_COMPARE_TOL
 
@@ -21,24 +23,24 @@ class TestExportRequest:
         ExportRequest("phi", -1.0, 1.0, 0.5)
 
     def test_rejects_bad_range(self):
-        with pytest.raises(InvalidRequest):
+        with pytest.raises(InvalidGrid):
             ExportRequest("phi", 1.0, -1.0, 0.5)
 
     def test_rejects_bad_step(self):
-        with pytest.raises(InvalidRequest):
+        with pytest.raises(InvalidGrid):
             ExportRequest("phi", 0.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("step", [math.inf, math.nan])
     def test_rejects_non_finite_step(self, step):
-        with pytest.raises(InvalidRequest, match="step"):
+        with pytest.raises(InvalidGrid, match="step"):
             ExportRequest("phi", 0.0, 1.0, step)
 
     def test_rejects_unknown_function(self):
-        with pytest.raises(InvalidRequest):
+        with pytest.raises(InvalidGrid):
             ExportRequest("nonesuch", 0.0, 1.0, 0.5)
 
     def test_rejects_runaway_export(self):
-        with pytest.raises(InvalidRequest):
+        with pytest.raises(InvalidGrid):
             ExportRequest("phi", 0.0, 1e6, 1e-6)
 
     # named before the range and budget checks, which would misname them
@@ -59,7 +61,7 @@ class TestExportRequest:
         # point, is past the largest double: no grid is built
         start, end = 1.7876931348623208e308, 1.7976931348623157e308
         step = 1e306
-        with pytest.raises(InvalidRequest, match="overflows"):
+        with pytest.raises(InvalidGrid, match="overflows"):
             ExportRequest("psi", start, end, step)
         out = tmp_path / "far.csv"
         with warnings.catch_warnings(record=True) as caught:
@@ -78,7 +80,7 @@ class TestExportRequest:
         budget = export.MAX_GRID_POINTS
         ExportRequest("phi", 0.0, budget - 1.0, 1.0)
         assert export._grid_size(0.0, budget - 1.0, 1.0) == budget
-        with pytest.raises(InvalidRequest, match="point budget"):
+        with pytest.raises(InvalidGrid, match="point budget"):
             ExportRequest("phi", 0.0, float(budget), 1.0)
 
 
@@ -120,6 +122,13 @@ class TestSeries:
         assert np.shape(axis) == np.shape(values) == (9,)
         assert np.all(np.isfinite(values))
 
+    # the writers read a column in unit-step slices; no other reader exists
+    @pytest.mark.parametrize("column", [1, 2], ids=["axis", "values"])
+    def test_column_rejects_a_stepped_slice(self, column):
+        series = evaluate_series(ExportRequest("psi", -1.0, 1.0, 0.25))
+        with pytest.raises(IndexError, match="read in unit steps"):
+            series[column][::2]
+
     def test_csv_round_trip_exact(self):
         req = ExportRequest("psi", -3.0, 3.0, 0.07)
         label, axis, values = evaluate_series(req)
@@ -159,13 +168,17 @@ def written(writer, axis, values, name="psi", label="t"):
     return buf.getvalue()
 
 
-def assert_same_bytes(writer, reference, axis, values):
-    got, want = written(writer, axis, values), written(reference, axis, values)
+def assert_same_text(got, want):
     if got != want:     # pytest's own diff of multi-megabyte strings is slow
         first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
                      min(len(got), len(want)))
         pytest.fail(f"first difference at character {first}: "
                     f"{got[first:first + 40]!r} != {want[first:first + 40]!r}")
+
+
+def assert_same_bytes(writer, reference, axis, values):
+    assert_same_text(written(writer, axis, values),
+                     written(reference, axis, values))
 
 
 EXTREMES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
@@ -611,17 +624,50 @@ class TestCli:
     def test_decompose_writes_files(self, tmp_path):
         code = main(["decompose", "--output", str(tmp_path)])
         assert code == 0
-        names = {p.name for p in tmp_path.iterdir()}
-        assert names == {"meyer_s_c.csv", "meyer_s_s.csv",
-                         "meyer_reconstruction.csv",
-                         "meyer_reconstruction_error.csv"}
-        grid = export.grid_points(-16.0, 16.0, 1.0 / 64.0)
-        assert grid.size == 2049
-        for name in names:
-            _, t, _ = export.parse_csv((tmp_path / name).read_text())
-            assert np.array_equal(t, grid), name
-        _, _, err = export.parse_csv(
-            (tmp_path / "meyer_reconstruction_error.csv").read_text())
-        n = len(err)
-        margin = n // 10
-        assert np.max(np.abs(err[margin:n - margin])) <= 1e-3
+        sig = verify._sampled_psi()
+        assert np.array_equal(sig.times,
+                              export.grid_points(-16.0, 16.0, 1.0 / 64.0))
+        assert sig.times.size == 2049
+        # each file holds the array its name says, byte for byte
+        s_c, s_s = signals.decompose_quadrature(sig)
+        rebuilt = signals.reconstruct_quadrature(s_c, s_s)
+        series = {"s_c": s_c.samples, "s_s": s_s.samples,
+                  "reconstruction": rebuilt.samples,
+                  "reconstruction_error": rebuilt.samples - sig.samples}
+        assert {p.name for p in tmp_path.iterdir()} == {
+            f"meyer_{name}.csv" for name in series}
+        for name, values in series.items():
+            assert_same_text((tmp_path / f"meyer_{name}.csv").read_text(),
+                             written(reference_write_csv, sig.times, values,
+                                     name=name))
+        err = series["reconstruction_error"]
+        margin = err.size // 10
+        assert np.max(np.abs(err[margin:err.size - margin])) <= 1e-3
+
+    # a crash is neither a usage error (2) nor a failed verification (1)
+    @pytest.mark.parametrize("error", [RuntimeError, ValueError])
+    def test_crash_exits_3_with_its_traceback(self, monkeypatch, capsys,
+                                              error):
+        def crash():
+            raise error("injected")
+        monkeypatch.setattr(verify, "run_verification", crash)
+        monkeypatch.setattr(sys, "argv", ["meyerwave", "verify"])
+        with pytest.raises(SystemExit) as exc_info:
+            entry_point()
+        assert exc_info.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0] == "Traceback (most recent call last):"
+        assert lines[-1] == f"{error.__name__}: injected"
+
+    @pytest.mark.parametrize("error", [SystemExit, KeyboardInterrupt])
+    def test_exit_and_interrupt_pass_through(self, monkeypatch, capsys,
+                                             error):
+        def stop():
+            raise error()
+        monkeypatch.setattr(verify, "run_verification", stop)
+        monkeypatch.setattr(sys, "argv", ["meyerwave", "verify"])
+        with pytest.raises(error):
+            entry_point()
+        assert capsys.readouterr().err == ""

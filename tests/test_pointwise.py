@@ -132,7 +132,7 @@ class TestOracles:
 
     # every |t - 1/2| and |t| below FAR_FROM, or every one above it
     @pytest.mark.parametrize("lo, hi", [(-19.0, 19.0), (FAR_FROM + 1.0, 1e4)],
-                             ids=["gauss_legendre", "filon"])
+                             ids=["gauss_legendre", "parts"])
     @pytest.mark.parametrize("f", ORACLES, ids=IDS)
     def test_one_family_grid_equals_its_blocks(self, f, lo, hi):
         t = np.linspace(lo, hi, 2 * BLOCK + 5)

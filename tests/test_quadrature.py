@@ -159,7 +159,7 @@ def far_points(lo, hi, n, seed):
     return np.concatenate([[lo, hi], x, -x, [-lo, -hi]])
 
 
-class TestFilon:
+class TestFarRule:
     # x = t for phi and t - 1/2 for psi; |x| >= FAR_FROM takes the rule
     SHIFTS = [(phi_oracle, closed_form.phi, 0.0),
               (psi_oracle, closed_form.psi, 0.5)]
