@@ -2,32 +2,37 @@
 
 The wavelet is a band-pass waveform centred on the carrier w0 = 2pi.
 Mixing it with cos(2pi t) and sin(2pi t) and low-pass filtering yields the
-in-phase and quadrature baseband components s_c, s_s, from which the
-wavelet is reconstructed at unit gain:
+in-phase and quadrature baseband components
+
+    s_c(t) = LP[2 psi(t) cos(2pi t)],    s_s(t) = LP[2 psi(t) sin(2pi t)],
+
+from which the wavelet is reconstructed at unit gain:
 
     psi(t) = s_c(t) cos(2pi t) + s_s(t) sin(2pi t)
-
-The low-pass mask is real and even in frequency, so it maps the real and
-imaginary parts of a complex input separately, and both components come
-from one complex baseband, one fft/ifft pair:
-
-    s_c(t) - j s_s(t) = LP[2 psi(t) exp(-j 2pi t)]
 
 The Hilbert-transform variant of the same idea recovers the scaling
 function directly:
 
     phi(t) = psi(t) cos(2pi t) + H[psi](t) sin(2pi t)
 
-Filtering and the Hilbert transform are realised as ideal (brick-wall)
-multipliers on DFT bins, so results are periodic-convolution accurate:
-grids should span the waveform until its tails are negligible.  dft(s)
+Filtering and the Hilbert transform are ideal (brick-wall) multipliers on
+the DFT bins, so results are periodic-convolution accurate: grids should
+span the waveform until its tails are negligible.  Each multiplier is
+applied as a circular convolution with its closed-form impulse response,
+a Dirichlet kernel for the low-pass and a cotangent kernel for the
+Hilbert transform.  The circular convolution of n points is a linear one
+zero-padded to a length m >= 2n - 1 (Stockham, AFIPS 1966), and m is the
+smallest with no prime factor above 5, so only fast real FFTs run.  The
+grids here have odd lengths 2 span/dt + 1, often with a large prime factor
+(2,049 = 3 * 683); a transform of such a length n runs by Bluestein's
+algorithm, itself two transforms of a length of at least 2n - 1.  dft(s)
 returns plain arrays, (bin_frequencies, coefficients), and
 idft(s, coefficients) puts coefficients back on the grid of s.
 
 A SampledSignal holds a read-only copy of its samples and cannot be
 reassigned, so its Hilbert transform is computed at most once and cached
-on it: scale_from_wavelet and envelope of one signal share one pair of
-transforms.
+on it: scale_from_wavelet and envelope of one signal share one
+convolution.
 """
 
 import math
@@ -43,9 +48,6 @@ CARRIER = 2.0 * np.pi            # synchronous-detection carrier w0
 CUTOFF = 2.0 * np.pi
 MAX_GRID_DT = 3.0 / 8.0          # Nyquist must exceed the 8pi/3 band edge
 INTERIOR_FRACTION = 0.8          # window used when quoting interior errors
-# The Hilbert multiplier -j sign(w) on the DC, positive and negative bins,
-# with the bits that -1j * np.sign(freqs) gives them (the DC one is 0 - 0j)
-_DC, _MINUS_J, _PLUS_J = -1j * np.array([0.0, 1.0, -1.0])
 
 __all__ = [
     "CARRIER", "CUTOFF", "MAX_GRID_DT", "INTERIOR_FRACTION",
@@ -100,17 +102,21 @@ class SampledSignal:
     def _hilbert(self):
         """hilbert(self), computed on first use."""
         _require_finite_bins(self)
-        # fft, multiplier and ifft all run in one complex buffer: measured
-        # at n = 524,289, this and decompose_quadrature's one buffer cut
-        # perfbench's decompose peak RSS from 144.8-152.6 to 131.5-131.7 MiB.
+        # The kernel is odd, so its gain is imaginary: the real gain is its
+        # imaginary part, and the spectrum is turned by 1j in place.  The
+        # gain is freed before the inverse transform and the spectrum before
+        # replace_samples copies the result, so at most two full-length
+        # complex arrays are held at once.
         n = self.samples.size
-        c = self.samples.astype(complex)
-        np.fft.fft(c, out=c)
-        c[0] *= _DC
-        c[1:(n + 1) // 2] *= _MINUS_J
-        c[(n + 1) // 2:] *= _PLUS_J
-        np.fft.ifft(c, out=c)
-        return self.replace_samples(c.real)
+        m = _fast_size(2 * n - 1)
+        gain = np.fft.rfft(_wrapped(_hilbert_kernel(n), m)).imag.copy()
+        spectrum = np.fft.rfft(self.samples, m)
+        spectrum *= gain
+        del gain
+        spectrum *= 1j
+        out = np.fft.irfft(spectrum, m)
+        del spectrum
+        return self.replace_samples(out[:n])
 
 
 def _grid(t0, dt, stop, start=0):
@@ -146,6 +152,75 @@ def _bin_frequencies(s):
     return 2.0 * np.pi * np.fft.fftfreq(s.samples.size, s.dt)
 
 
+def _fast_size(size):
+    """The smallest 2^a 3^b 5^c that is at least size."""
+    best = 1 << (size - 1).bit_length()
+    p35 = 1
+    while p35 < best:
+        p = p35
+        while p < best:
+            best = min(best, p << (-(-size // p) - 1).bit_length())
+            p *= 3
+        p35 *= 5
+    return best
+
+
+def _hilbert_kernel(n):
+    """Impulse response of hilbert's DFT multiplier on n points, the
+    Nyquist bin of an even n dropped:
+
+        odd n:  h[k] = cot(pi k / 2n) / n (odd k), -tan(pi k / 2n) / n (even k)
+        even n: h[k] = 2 cot(pi k / n) / n (odd k), 0 (even k)
+
+    h[0] = 0 and h[n - k] = -h[k]; only k < n/2 are evaluated.
+    """
+    h = np.zeros(n)
+    k = np.arange(1, (n + 1) // 2)
+    odd = k % 2 == 1
+    if n % 2:
+        tan = np.tan(np.pi / (2 * n) * k)
+        half = np.where(odd, 1.0 / tan, -tan)
+    else:
+        half = np.where(odd, 2.0 / np.tan(np.pi / n * k), 0.0)
+    half /= n
+    h[k] = half
+    h[n - k] = -half
+    return h
+
+
+def _lowpass_kernel(n, top):
+    """Impulse response of the mask that keeps bins -top..top of n: the
+    Dirichlet kernel sin(pi (2 top + 1) k / n) / (n sin(pi k / n)), even in
+    k.  Only k <= n/2 are evaluated, and the numerator's angle is reduced
+    exactly to [-pi/2, pi/2], so no sine is taken near pi."""
+    d = np.empty(n)
+    k = np.arange(1, n // 2 + 1)
+    r = (2 * top + 1) * k % (2 * n)
+    r = np.where(r > n, r - 2 * n, r)
+    r = np.where(np.abs(r) > n / 2, np.sign(r) * n - r, r)
+    d[0] = (2 * top + 1) / n
+    d[k] = np.sin(np.pi / n * r) / (n * np.sin(np.pi / n * k))
+    d[n - k] = d[k]
+    return d
+
+
+def _wrapped(h, m):
+    """h wrapped into m >= 2n - 1 points: its circular convolution with a
+    zero-padded x is, on the first n points, h's circular convolution with
+    x."""
+    g = np.zeros(m)
+    g[:h.size] = h
+    g[m - h.size + 1:] = h[1:]
+    return g
+
+
+def _lowpass(x, gain, m):
+    """x convolved with the kernel whose rfft over m points is gain."""
+    spectrum = np.fft.rfft(x, m)
+    spectrum *= gain
+    return np.fft.irfft(spectrum, m)[:x.size]
+
+
 def dft(s):
     """(bin_frequencies, coefficients) of s; frequencies in rad/unit time."""
     return _bin_frequencies(s), np.fft.fft(s.samples)
@@ -163,11 +238,11 @@ def hilbert(s):
 
     Positive-frequency bins are rotated by -j, negative by +j, and the DC
     bin is zeroed.  For even lengths the Nyquist bin, which fftfreq counts
-    as negative, becomes purely imaginary; only the real part of the
-    inverse transform is kept, so it drops out.  The fft, the multiplier
-    and the ifft run in place on one complex copy of the samples.  The
-    result is cached on s: a second call on the same signal returns it
-    without a transform.
+    as negative, would become purely imaginary and drop out of the real
+    result, so the kernel leaves it out.  The multiplier is applied as a
+    zero-padded convolution with its impulse response.  The result is
+    cached on s: a second call on the same signal returns it without a
+    transform.
     """
     return s._hilbert
 
@@ -183,27 +258,35 @@ def decompose_quadrature(psi_s):
     """Split the band-pass wavelet into baseband in-phase/quadrature parts.
 
     The mixer halves the baseband amplitude, so the product is doubled
-    before filtering; reconstruct_quadrature is then unit-gain.  Both
-    components come from one low-passed complex baseband,
-    s_c - j s_s = LP[2 psi exp(-j w0 t)], at the true grid abscissas,
-    where LP cuts at CUTOFF.
+    before filtering; reconstruct_quadrature is then unit-gain.  The
+    components are two real low-passes, s_c = LP[2 psi cos w0 t] and
+    s_s = LP[2 psi sin w0 t], at the true grid abscissas, where LP keeps
+    the DFT bins at or below CUTOFF.  They share one kernel and its gain.
     """
     require_fine_grid(psi_s)
+    n = psi_s.samples.size
+    # The kept bins are 0..top and their mirrors: the mask is monotone in
+    # |bin|, and an even n's Nyquist bin lies beyond CUTOFF on a fine grid.
     beyond = np.abs(_bin_frequencies(psi_s)) > CUTOFF
-    # The angle is formed in place, and fft, mask and ifft all run in mixed.
-    # Measured at n = 524,289, this and hilbert's one buffer cut perfbench's
-    # decompose peak RSS from 144.8-152.6 to 131.5-131.7 MiB.
+    top = np.count_nonzero(~beyond[:(n + 1) // 2]) - 1
+    del beyond
+    # The kernel is even, so its gain is real.  The angle becomes the sine
+    # mixer in place, and each spectrum is freed before replace_samples
+    # copies its result, so at most 3.5 full-length complex arrays are held
+    # at once.
+    m = _fast_size(2 * n - 1)
+    gain = np.fft.rfft(_wrapped(_lowpass_kernel(n, top), m)).real.copy()
     angle = psi_s.times
     angle *= CARRIER
-    mixed = np.empty(angle.size, dtype=complex)
-    mixed.real = np.cos(angle)
-    mixed.imag = -np.sin(angle)
-    mixed *= 2.0 * psi_s.samples
-    np.fft.fft(mixed, out=mixed)
-    mixed[beyond] = 0.0
-    np.fft.ifft(mixed, out=mixed)
-    return (psi_s.replace_samples(mixed.real),
-            psi_s.replace_samples(-mixed.imag))
+    mixed = np.cos(angle)
+    mixed *= psi_s.samples
+    mixed *= 2.0
+    s_c = psi_s.replace_samples(_lowpass(mixed, gain, m))
+    del mixed
+    mixed = np.sin(angle, out=angle)
+    mixed *= psi_s.samples
+    mixed *= 2.0
+    return s_c, psi_s.replace_samples(_lowpass(mixed, gain, m))
 
 
 def reconstruct_quadrature(s_c, s_s):

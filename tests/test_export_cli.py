@@ -252,9 +252,9 @@ class TestStreamedSample:
 
     def assert_streamed_bytes(self, tmp_path, function, fmt, n):
         got, grid = sampled(tmp_path, function, fmt, -3.0, self.STEP, n)
-        want = written(self.REFERENCES[fmt], grid, self.DIRECT[function](grid),
-                       name=function)
-        assert got == want
+        assert_same_text(got, written(self.REFERENCES[fmt], grid,
+                                      self.DIRECT[function](grid),
+                                      name=function))
 
     # a chunk of 8 rows divides the block, one of 7 straddles its edges
     @pytest.mark.parametrize("rows", [8, 7])

@@ -151,14 +151,16 @@ class TestHilbert:
         assert np.max(np.abs(hilbert(s).samples)) <= 1e-15
 
 
-def reference_decompose(psi_s):
-    """Decomposition by two real low-passes, one per carrier phase."""
+def reference_decompose(psi_s, dtype=float):
+    """Decomposition by two real low-passes, one per carrier phase, whose
+    transforms run in dtype (numpy >= 2.0 transforms long-double input in
+    long double)."""
     doubled = 2.0 * psi_s.samples
     t = psi_s.times
     beyond = np.abs(2.0 * np.pi * np.fft.fftfreq(t.size, psi_s.dt)) > CUTOFF
 
     def lowpass(x):
-        coefficients = np.fft.fft(x)
+        coefficients = np.fft.fft(x.astype(dtype))
         coefficients[beyond] = 0.0
         return np.fft.ifft(coefficients).real
 
@@ -183,10 +185,11 @@ class TestDecomposeMatchesTwoLowpasses:
             assert (out.t0, out.dt) == (sig.t0, sig.dt)
 
 
-def reference_hilbert(s):
-    """The Hilbert transform out of place, a new array at each step."""
+def reference_hilbert(s, dtype=float):
+    """The Hilbert transform out of place, a new array at each step, with
+    its transforms in dtype."""
     freqs = 2.0 * np.pi * np.fft.fftfreq(s.samples.size, s.dt)
-    coefficients = np.fft.fft(s.samples) * (-1j * np.sign(freqs))
+    coefficients = np.fft.fft(s.samples.astype(dtype)) * (-1j * np.sign(freqs))
     return np.fft.ifft(coefficients).real
 
 
@@ -204,31 +207,68 @@ def reference_baseband(psi_s):
     return baseband.real, -baseband.imag
 
 
+# Higham, Accuracy and Stability of Numerical Algorithms (2nd ed. 2002),
+# Thm 24.2: an FFT of length m (stated for radix 2) has normwise relative
+# error at most log2(m) eta / (1 - log2(m) eta), eta = mu + gamma_4
+# (sqrt 2 + mu), with twiddle factors accurate to mu = u.  The convolution runs three transforms
+# (the kernel's, the forward and the inverse), so the bound below allows
+# three such errors, each on the scale of the largest input sample.
+U = np.finfo(float).eps / 2
+
+
+def fft_error_bound(n, x_inf):
+    log2m = np.log2(signals._fast_size(2 * n - 1))
+    eta = U + 4 * U / (1 - 4 * U) * (np.sqrt(2.0) + U)
+    return 3 * log2m * eta / (1 - log2m * eta) * x_inf
+
+
 class TestTransformsInPlace:
     dt = 1.0 / 64.0
 
-    # t0 is off the grid k*dt; only an even n has a Nyquist bin
-    @pytest.mark.parametrize("n", [2049, 2048], ids=["odd", "even"])
-    def test_bits_equal_out_of_place(self, n):
+    # t0 is off the grid k*dt; 2,049 = 3 * 683 is a length numpy transforms
+    # by Bluestein's algorithm, 1,001 = 7 * 11 * 13 one it does not, and only
+    # an even n has a Nyquist bin
+    @pytest.mark.parametrize("n", [2049, 2048, 1001],
+                             ids=["odd", "even", "odd-composite"])
+    def test_within_fft_error_bound(self, n):
         sig = sample(closed_form.psi, -15.75 + 0.37 * self.dt, self.dt, n)
         t = sig.times
-        h = reference_hilbert(sig)
-        ref_c, ref_s = reference_baseband(sig)
+        x_inf = np.max(np.abs(sig.samples))
+        # the products, sum, squares and root formed after the transform
+        # add a few roundings, far inside the three transforms' allowance
+        bound = fft_error_bound(n, x_inf)
+        h = reference_hilbert(sig, np.longdouble)
+        ex_c, ex_s = reference_decompose(sig, np.longdouble)
+        # the mixer doubles the samples, so its products reach 2 x_inf
+        mixed_bound = fft_error_bound(n, 2.0 * x_inf)
+
+        def scale(h):
+            return sig.samples * np.cos(CARRIER * t) + h * np.sin(CARRIER * t)
+
+        def env(h):
+            return np.sqrt(sig.samples**2 + h**2)
+
         s_c, s_s = decompose_quadrature(sig)
-        pairs = [
-            (hilbert(sig), h),
-            (s_c, ref_c),
-            (s_s, ref_s),
-            (scale_from_wavelet(sig), sig.samples * np.cos(CARRIER * t)
-             + h * np.sin(CARRIER * t)),
-            (envelope(sig), np.sqrt(sig.samples**2 + h**2)),
-        ]
-        for got, want in pairs:
-            assert got.samples.tobytes() == want.tobytes()
+        ref_h = reference_hilbert(sig)
+        ref_c, ref_s = reference_baseband(sig)
+        for got, want, tol in [
+                (hilbert(sig).samples, h, bound),
+                (s_c.samples, ex_c, mixed_bound),
+                (s_s.samples, ex_s, mixed_bound),
+                (scale_from_wavelet(sig).samples, scale(h), bound),
+                (envelope(sig).samples, env(h), bound),
+                # the replaced out-of-place transforms meet the same bounds
+                (ref_h, h, bound),
+                (ref_c, ex_c, mixed_bound),
+                (ref_s, ex_s, mixed_bound),
+                (scale(ref_h), scale(h), bound),
+                (env(ref_h), env(h), bound)]:
+            assert np.max(np.abs(got - want)) <= tol
 
     # tracemalloc sees numpy's data buffers, not pocketfft's workspace.
     # Out of place, hilbert peaked at 3.1 and decompose_quadrature at 5.1
-    # full-length complex arrays (16n bytes each) above the start.
+    # full-length complex arrays (16n bytes each) above the start; the
+    # padded real convolution holds 2.0 and 3.5.
     @pytest.mark.parametrize("transform, arrays", [
         (hilbert, 2.5), (decompose_quadrature, 4.0)],
         ids=["hilbert", "decompose_quadrature"])
@@ -245,6 +285,64 @@ class TestTransformsInPlace:
         finally:
             tracemalloc.stop()
         assert peak - start <= arrays * 16 * n
+
+
+class TestLowpassEdge:
+    # n * dt = 32 puts the carrier on bin 32, and with it the cutoff: fftfreq
+    # gives bin 32 exactly 1.0 cycles per unit, 2pi * 1.0 == CUTOFF, so the
+    # mask keeps it.  The odd grid's step 32/2049 is rounded, so its bins
+    # and mixer sit off the exact tones by round-off only.
+    @pytest.mark.parametrize("n, dt, top", [(2048, 1.0 / 64.0, 32),
+                                            (2049, 32.0 / 2049.0, 32)],
+                             ids=["even", "odd"])
+    def test_last_kept_bin_passes_and_the_next_is_removed(self, n, dt, top):
+        freqs = 2.0 * np.pi * np.fft.fftfreq(n, dt)
+        assert freqs[top] <= CUTOFF < freqs[top + 1]
+        k = np.arange(n)
+        # a mixer phase error of a few u * CARRIER * n * dt per sample, on
+        # products up to 2, beside the transforms' own round-off
+        tol = fft_error_bound(n, 2.0) + 8.0 * U * CARRIER * n * dt
+        for b, kept in [(top, True), (top + 1, False)]:
+            # 2 psi exp(-j CARRIER t) holds bin b, kept or not, and bin
+            # -(b + 64), beyond the cutoff
+            psi = SampledSignal(0.0, dt, np.cos(2.0 * np.pi * (32 + b) * k / n))
+            s_c, s_s = decompose_quadrature(psi)
+            angle = 2.0 * np.pi * b * k / n
+            assert np.max(np.abs(s_c.samples - kept * np.cos(angle))) <= tol
+            assert np.max(np.abs(s_s.samples + kept * np.sin(angle))) <= tol
+
+
+class TestKernels:
+    # the inverse DFT of each multiplier in long double; each float kernel
+    # entry takes a few roundings of relative size u, and |entry| is at most
+    # twice the envelope 1/(n sin(pi k/n)), so 16u of the envelope bounds it.
+    # A sine taken near pi at n - k = 1 errs by about u*n of it instead.
+    @pytest.mark.parametrize("n, dt", [(3, 0.25), (4, 0.25), (5, 0.125),
+                                       (6, 0.125), (1001, 1.0 / 64.0),
+                                       (2048, 1.0 / 64.0), (2049, 1.0 / 64.0),
+                                       (16384, 1.0 / 64.0),
+                                       (16385, 1.0 / 64.0)])
+    def test_match_the_inverse_dft_of_the_multipliers(self, n, dt):
+        freqs = 2.0 * np.pi * np.fft.fftfreq(n, dt)
+        envelope = np.ones(n)
+        envelope[1:] = 1.0 / (n * np.sin(np.pi * np.arange(1, n) / n))
+        hilbert_ref = np.fft.ifft(
+            (-1j * np.sign(freqs)).astype(np.clongdouble)).real
+        kept = ~(np.abs(freqs) > CUTOFF)
+        top = np.flatnonzero(kept[:(n + 1) // 2]).max()
+        lowpass_ref = np.fft.ifft(kept.astype(np.clongdouble)).real
+        for got, want in [(signals._hilbert_kernel(n), hilbert_ref),
+                          (signals._lowpass_kernel(n, top), lowpass_ref)]:
+            assert np.all(np.abs(got - want) <= 16.0 * U * envelope)
+
+    def test_fast_size(self):
+        # every 2^a 3^b 5^c up to 2,000 divides this, and nothing else does
+        smooth = [k for k in range(1, 2001)
+                  if 2 ** 11 * 3 ** 7 * 5 ** 5 % k == 0]
+        for size in range(1, 1001):
+            assert signals._fast_size(size) == min(k for k in smooth
+                                                   if k >= size)
+        assert signals._fast_size(2 * 524_289 - 1) == 1_049_760
 
 
 class TestHilbertCache:
@@ -275,24 +373,27 @@ class TestHilbertCache:
         assert first.samples.tobytes() == fresh.samples.tobytes()
         freqs, coefficients = dft(sig)
         rotated = idft(sig, coefficients * (-1j * np.sign(freqs)))
-        assert first.samples.tobytes() == rotated.samples.tobytes()
+        bound = fft_error_bound(sig.samples.size, np.max(np.abs(sig.samples)))
+        assert np.max(np.abs(first.samples - rotated.samples)) <= 2 * bound
 
+    # one Hilbert computation takes two rffts, its kernel's and the
+    # samples'; decompose_quadrature takes three, one kernel for both mixers
     def test_scale_and_envelope_share_one_forward_transform(self,
                                                             monkeypatch):
         sig = self.wavelet_signal()
         calls = []
-        fft = np.fft.fft
+        rfft = np.fft.rfft
 
-        def counting_fft(*args, **kwargs):
+        def counting_rfft(*args, **kwargs):
             calls.append(1)
-            return fft(*args, **kwargs)
+            return rfft(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, "fft", counting_fft)
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
         scale_from_wavelet(sig)
         envelope(sig)
-        assert len(calls) == 1
-        decompose_quadrature(sig)
         assert len(calls) == 2
+        decompose_quadrature(sig)
+        assert len(calls) == 5
 
 
 class TestDecomposition:
