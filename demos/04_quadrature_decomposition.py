@@ -10,7 +10,7 @@ import numpy as np
 
 from meyerwave import (decompose_quadrature, psi, reconstruct_quadrature,
                        sample)
-from meyerwave.signals import dft, interior_slice
+from meyerwave.signals import interior_slice
 from meyerwave.verify import (SIGNAL_DT as dt, SIGNAL_POINTS as n,
                               SIGNAL_SPAN as span)
 
@@ -26,8 +26,9 @@ print(f"interior max reconstruction error: {np.max(err[inner]):.3e}")
 print(f"full-grid max (shows the wrap-around edge effect): "
       f"{np.max(err):.3e}")
 
+freqs = 2 * np.pi * np.fft.fftfreq(n, dt)
 for name, comp in (("s_c", s_c), ("s_s", s_s)):
-    freqs, coefficients = dft(comp)
+    coefficients = np.fft.fft(comp.samples)
     high = np.abs(coefficients[np.abs(freqs) > 2 * np.pi])
     peak = np.max(np.abs(coefficients))
     print(f"{name}: peak |sample| = {np.max(np.abs(comp.samples)):.4f}, "

@@ -6,8 +6,9 @@ Public surface:
 - :mod:`meyerwave.closed_form` -- time-domain closed forms with removable
   singularities handled by local series expansion.
 - :mod:`meyerwave.quadrature` -- inverse-Fourier quadrature oracle.
-- :mod:`meyerwave.signals` -- DFT/Hilbert machinery, synchronous-detection
-  decomposition and reconstruction.
+- :mod:`meyerwave.signals` -- Hilbert transform, synchronous-detection
+  decomposition and reconstruction; every transform is a zero-padded
+  convolution.
 - :mod:`meyerwave.verify` -- the full property-check suite.
 - :mod:`meyerwave.cli` -- ``meyerwave`` command-line tool.
 """

@@ -1,4 +1,4 @@
-"""Discrete-grid machinery: DFT, ideal filtering, synchronous detection.
+"""Discrete-grid machinery: ideal filtering, synchronous detection.
 
 The wavelet is a band-pass waveform centred on the carrier w0 = 2pi.
 Mixing it with cos(2pi t) and sin(2pi t) and low-pass filtering yields the
@@ -17,17 +17,15 @@ function directly:
 
 Filtering and the Hilbert transform are ideal (brick-wall) multipliers on
 the DFT bins, so results are periodic-convolution accurate: grids should
-span the waveform until its tails are negligible.  Each multiplier is
-applied as a circular convolution with its closed-form impulse response,
+span the waveform until its tails are negligible.  Every transform here is
+a circular convolution with a multiplier's closed-form impulse response,
 a Dirichlet kernel for the low-pass and a cotangent kernel for the
 Hilbert transform.  The circular convolution of n points is a linear one
 zero-padded to a length m >= 2n - 1 (Stockham, AFIPS 1966), and m is the
 smallest with no prime factor above 5, so only fast real FFTs run.  The
 grids here have odd lengths 2 span/dt + 1, often with a large prime factor
-(2,049 = 3 * 683); a transform of such a length n runs by Bluestein's
-algorithm, itself two transforms of a length of at least 2n - 1.  dft(s)
-returns plain arrays, (bin_frequencies, coefficients), and
-idft(s, coefficients) puts coefficients back on the grid of s.
+(2,049 = 3 * 683); a transform of such a length n would run by Bluestein's
+algorithm, itself two transforms of a length of at least 2n - 1.
 
 A SampledSignal holds a read-only copy of its samples and cannot be
 reassigned, so its Hilbert transform is computed at most once and cached
@@ -52,7 +50,7 @@ INTERIOR_FRACTION = 0.8          # window used when quoting interior errors
 __all__ = [
     "CARRIER", "CUTOFF", "MAX_GRID_DT", "INTERIOR_FRACTION",
     "InvalidGrid", "SampledSignal", "sample", "require_fine_grid",
-    "dft", "idft", "hilbert",
+    "hilbert",
     "decompose_quadrature", "reconstruct_quadrature",
     "scale_from_wavelet", "envelope", "interior_slice",
 ]
@@ -146,10 +144,16 @@ def _require_finite_bins(s):
                           f"frequencies are not finite")
 
 
-def _bin_frequencies(s):
-    """Signed angular frequencies of the DFT bins of s, rad/unit time."""
-    _require_finite_bins(s)
-    return 2.0 * np.pi * np.fft.fftfreq(s.samples.size, s.dt)
+def _cutoff_bin(s):
+    """The last nonnegative DFT bin of s at or below CUTOFF.
+
+    The low-pass keeps it, the bins below it and their mirrors: the mask is
+    monotone in |bin|, and an even n's Nyquist bin lies beyond CUTOFF on a
+    fine grid.  Each frequency is rounded as fftfreq rounds it.
+    """
+    n = s.samples.size
+    freqs = 2.0 * np.pi * (np.arange((n + 1) // 2) * (1.0 / (n * s.dt)))
+    return np.count_nonzero(freqs <= CUTOFF) - 1
 
 
 def _fast_size(size):
@@ -221,18 +225,6 @@ def _lowpass(x, gain, m):
     return np.fft.irfft(spectrum, m)[:x.size]
 
 
-def dft(s):
-    """(bin_frequencies, coefficients) of s; frequencies in rad/unit time."""
-    return _bin_frequencies(s), np.fft.fft(s.samples)
-
-
-def idft(s, coefficients):
-    """The signal on the grid of s whose DFT is coefficients."""
-    # Inputs in this library are conjugate-symmetric; the imaginary residue
-    # is FFT round-off and is dropped.
-    return s.replace_samples(np.fft.ifft(coefficients).real)
-
-
 def hilbert(s):
     """Discrete Hilbert transform via the +/-90 degree DFT multiplier.
 
@@ -264,17 +256,14 @@ def decompose_quadrature(psi_s):
     the DFT bins at or below CUTOFF.  They share one kernel and its gain.
     """
     require_fine_grid(psi_s)
+    _require_finite_bins(psi_s)
     n = psi_s.samples.size
-    # The kept bins are 0..top and their mirrors: the mask is monotone in
-    # |bin|, and an even n's Nyquist bin lies beyond CUTOFF on a fine grid.
-    beyond = np.abs(_bin_frequencies(psi_s)) > CUTOFF
-    top = np.count_nonzero(~beyond[:(n + 1) // 2]) - 1
-    del beyond
     # The kernel is even, so its gain is real.  The angle becomes the sine
     # mixer in place, and each spectrum is freed before replace_samples
     # copies its result, so at most 3.5 full-length complex arrays are held
     # at once.
     m = _fast_size(2 * n - 1)
+    top = _cutoff_bin(psi_s)
     gain = np.fft.rfft(_wrapped(_lowpass_kernel(n, top), m)).real.copy()
     angle = psi_s.times
     angle *= CARRIER
@@ -293,8 +282,8 @@ def reconstruct_quadrature(s_c, s_s):
     """Remodulate baseband components back onto the carrier."""
     if not s_c.same_grid(s_s):
         raise InvalidGrid("s_c and s_s must share the sampling grid")
-    t = s_c.times
-    out = s_c.samples * np.cos(CARRIER * t) + s_s.samples * np.sin(CARRIER * t)
+    angle = CARRIER * s_c.times
+    out = s_c.samples * np.cos(angle) + s_s.samples * np.sin(angle)
     return s_c.replace_samples(out)
 
 

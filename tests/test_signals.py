@@ -2,14 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from meyerwave import closed_form, signals
 from meyerwave.signals import (InvalidGrid, SampledSignal,
-                               decompose_quadrature, dft, envelope, hilbert,
-                               idft, interior_slice, reconstruct_quadrature,
+                               decompose_quadrature, envelope, hilbert,
+                               interior_slice, reconstruct_quadrature,
                                sample, scale_from_wavelet)
-from meyerwave.signals import CARRIER, CUTOFF
+from meyerwave.signals import CARRIER, CUTOFF, MAX_GRID_DT
 
 
 def make_tone(freq_cycles, n=256, dt=1.0 / 32.0, kind="cos"):
@@ -65,45 +65,10 @@ class TestGrid:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-class TestDftIdft:
-    def test_round_trip(self):
-        s = sample(closed_form.psi, -8.0, 1.0 / 32.0, 512)
-        back = idft(s, dft(s)[1])
-        assert np.max(np.abs(back.samples - s.samples)) < 1e-12
-        assert back.t0 == s.t0 and back.dt == s.dt
-
-    def test_constant_concentrates_at_dc(self):
-        s = SampledSignal(0.0, 1.0, np.ones(8))
-        _, coefficients = dft(s)
-        assert coefficients[0] == pytest.approx(8.0)
-        assert np.max(np.abs(coefficients[1:])) < 1e-12
-
-    def test_impulse_is_flat(self):
-        data = np.zeros(16)
-        data[0] = 1.0
-        _, coefficients = dft(SampledSignal(0.0, 1.0, data))
-        assert np.abs(coefficients) == pytest.approx(np.ones(16), abs=1e-12)
-
-    def test_parseval(self):
-        rng = np.random.default_rng(7)
-        s = SampledSignal(0.0, 0.25, rng.standard_normal(128))
-        _, coefficients = dft(s)
-        lhs = np.sum(np.abs(coefficients)**2) / 128
-        rhs = np.sum(s.samples**2)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
-    @pytest.mark.parametrize("dt", [1e-312, 5e-324, 1e-308])
-    def test_rejects_step_with_non_finite_bins(self, dt):
-        # 1/(n*dt) or the largest bin overflows
-        with np.errstate(all="raise"):
-            with pytest.raises(InvalidGrid, match="not finite"):
-                dft(SampledSignal(0.0, dt, np.ones(101)))
-
-    def test_bin_layout(self):
-        s = SampledSignal(0.0, 0.5, np.zeros(8))
-        freqs, _ = dft(s)
-        assert freqs == pytest.approx(
-            2.0 * np.pi * np.fft.fftfreq(8, 0.5))
+def spectrum(s):
+    """(angular bin frequencies, DFT coefficients) of s."""
+    return (2.0 * np.pi * np.fft.fftfreq(s.samples.size, s.dt),
+            np.fft.fft(s.samples))
 
 
 class TestHilbert:
@@ -138,7 +103,8 @@ class TestHilbert:
 
     @pytest.mark.parametrize("dt", [1e-312, 5e-324, 1e-308])
     def test_rejects_step_with_non_finite_bins(self, dt):
-        # as dft does, although the multiplier needs only each bin's sign
+        # as decompose_quadrature does, although the multiplier needs only
+        # each bin's sign
         with np.errstate(all="raise"):
             with pytest.raises(InvalidGrid, match="not finite"):
                 hilbert(SampledSignal(0.0, dt, np.ones(101)))
@@ -146,7 +112,7 @@ class TestHilbert:
     @pytest.mark.parametrize("n", [2, 16, 256])
     def test_annihilates_nyquist(self, n):
         # all of (-1)^k sits in the Nyquist bin, which the multiplier turns
-        # imaginary and idft's real part drops
+        # imaginary and the real result drops
         s = SampledSignal(0.0, 0.25, (-1.0) ** np.arange(n))
         assert np.max(np.abs(hilbert(s).samples)) <= 1e-15
 
@@ -178,7 +144,7 @@ class TestDecomposeMatchesTwoLowpasses:
     def test_within_1e_15(self, n):
         sig = sample(closed_form.psi, -15.75 + 0.37 * self.dt, self.dt, n)
         s_c, s_s = decompose_quadrature(sig)
-        ref_c, ref_s = reference_decompose(sig)
+        ref_c, ref_s = reference_decompose(sig, np.longdouble)
         assert np.max(np.abs(s_c.samples - ref_c)) <= 1e-15
         assert np.max(np.abs(s_s.samples - ref_s)) <= 1e-15
         for out in (s_c, s_s):
@@ -312,6 +278,32 @@ class TestLowpassEdge:
             assert np.max(np.abs(s_s.samples + kept * np.sin(angle))) <= tol
 
 
+def fine_grids():
+    """(n, dt) with dt < 3/8.  Half have n * dt = k, a whole number, which
+    puts bin k on 1 cycle per unit, and so on CUTOFF, up to rounding."""
+    def on_bin(n):
+        return st.integers(1, (3 * n - 1) // 8).map(lambda k: (n, k / n))
+
+    anywhere = st.tuples(st.integers(2, 100_000),
+                         st.floats(1e-300, MAX_GRID_DT, exclude_max=True))
+    return st.one_of(anywhere, st.integers(3, 100_000).flatmap(on_bin))
+
+
+class TestCutoffBin:
+    # the low-pass must keep exactly the bins that the fftfreq mask of the
+    # reference transforms keeps
+    @settings(max_examples=200, deadline=None)
+    @given(grid=fine_grids())
+    @example(grid=(2048, 1.0 / 64.0))
+    @example(grid=(2049, 32.0 / 2049.0))
+    def test_equals_fftfreqs_mask(self, grid):
+        n, dt = grid
+        freqs = 2.0 * np.pi * np.fft.fftfreq(n, dt)
+        want = np.count_nonzero(~(np.abs(freqs) > CUTOFF)[:(n + 1) // 2]) - 1
+        got = signals._cutoff_bin(SampledSignal(0.0, dt, np.zeros(n)))
+        assert got == want
+
+
 class TestKernels:
     # the inverse DFT of each multiplier in long double; each float kernel
     # entry takes a few roundings of relative size u, and |entry| is at most
@@ -371,10 +363,9 @@ class TestHilbertCache:
         assert first.samples.tobytes() == second.samples.tobytes()
         fresh = hilbert(sig.replace_samples(sig.samples))
         assert first.samples.tobytes() == fresh.samples.tobytes()
-        freqs, coefficients = dft(sig)
-        rotated = idft(sig, coefficients * (-1j * np.sign(freqs)))
         bound = fft_error_bound(sig.samples.size, np.max(np.abs(sig.samples)))
-        assert np.max(np.abs(first.samples - rotated.samples)) <= 2 * bound
+        assert np.max(np.abs(first.samples - reference_hilbert(sig))) \
+            <= 2 * bound
 
     # one Hilbert computation takes two rffts, its kernel's and the
     # samples'; decompose_quadrature takes three, one kernel for both mixers
@@ -422,7 +413,7 @@ class TestDecomposition:
     def test_components_band_limited(self):
         sig = self.wavelet_signal()
         s_c, _ = decompose_quadrature(sig)
-        freqs, coefficients = dft(s_c)
+        freqs, coefficients = spectrum(s_c)
         high = np.abs(coefficients[np.abs(freqs) > CUTOFF])
         assert np.max(high, initial=0.0) <= 1e-9 * np.max(np.abs(coefficients))
 
@@ -437,6 +428,13 @@ class TestDecomposition:
         coarse = SampledSignal(0.0, 0.5, np.zeros(64))
         with pytest.raises(InvalidGrid, match="8pi/3 band edge"):
             decompose_quadrature(coarse)
+
+    @pytest.mark.parametrize("dt", [1e-312, 5e-324, 1e-308])
+    def test_rejects_step_with_non_finite_bins(self, dt):
+        # 1/(n*dt) or the largest bin overflows
+        with np.errstate(all="raise"):
+            with pytest.raises(InvalidGrid, match="not finite"):
+                decompose_quadrature(SampledSignal(0.0, dt, np.ones(101)))
 
     def test_grid_mismatch_rejected(self):
         a = SampledSignal(0.0, 0.1, np.zeros(8))
@@ -459,7 +457,7 @@ class TestScaleFromWavelet:
         # residual high-band content is grid-truncation leakage only
         sig = sample(closed_form.psi, -16.0, 1.0 / 64.0, 2049)
         out = scale_from_wavelet(sig)
-        freqs, coefficients = dft(out)
+        freqs, coefficients = spectrum(out)
         band = np.abs(freqs) > 4.0 * np.pi / 3.0 + 1e-9
         assert np.max(np.abs(coefficients[band])) <= \
             1e-2 * np.max(np.abs(coefficients))
