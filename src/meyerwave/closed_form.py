@@ -8,11 +8,18 @@ whose cubic denominator vanishes at y = 0 and y = +/- root_offset.  All
 three roots are removable: the numerator vanishes there too and the ratio
 has a finite limit.  Direct floating-point evaluation at a distance h from
 a root loses ~1e-16/h absolute to cancellation (3e-13 at h = 1e-4), so
-inside a guard radius of 3e-2 the ratio is evaluated from the Taylor
-expansions of numerator and denominator about the root, to order
-TAYLOR_ORDER, with the common factor of h cancelled analytically.  Against
-50-digit references the result is within 1.3e-15 absolute at every h from
-1e-7 to 3, on both sides of the guard boundary.
+inside a guard radius of 3e-2 numerator and denominator are divided by
+h = y - y0 exactly, with no series to truncate:
+
+    N/h = p*[cos(q*y) - y0*q*sin(q*(y + y0)/2)*S(q*h/2)]
+          + r*s*cos(s*(y + y0)/2)*S(s*h/2),   S(u) = sin(u)/u,
+    D/h = d3*y*(y + y0) + d1 + d3*y0**2.
+
+Every q*y0 and s*y0 is a multiple of pi/2, so only the small angles of h
+are rounded; h is exact (Sterbenz), and S(u) = np.sinc(u/pi) is exact at
+u = 0.  Against 50-digit references this is within 8.9e-16 absolute at
+10,800 points inside the guards, and the result is within 1.3e-15 at
+every h from 1e-7 to 3.
 
 Everywhere else the ratio is evaluated divided through by y, with its
 phases reduced,
@@ -39,71 +46,58 @@ exactly, so the sine term |r|*sin(s*ph)/y is computed once and psi1 takes
 its exact negation; psi is still psi1 + psi2 bit for bit.  phi, psi1 and
 psi2 take the same path with one form.
 
-Limits at the roots follow from L'Hopital's rule and are computed here as
-N'(root)/D'(root) rather than frozen as decimals.  singular_points()
-returns them as {name: (points, limits)}, keyed by function name:
+The limits at the roots are the same expression at h = 0, N'(y0)/D'(y0)
+by L'Hopital's rule, computed rather than frozen as decimals.
+singular_points() returns them as {name: (points, limits)}, keyed by
+function name:
 
   phi : t in {-3/4, 0, 3/4} -> 2/(3pi), 2/3 + 4/(3pi), 2/(3pi)
   psi1: t in {-1/4, 1/2, 5/4} -> -1/3, 4/(3pi) - 4/3, -1/3
   psi2: t in {1/8, 1/2, 7/8} -> 4/(3pi), 8/(3pi) + 4/3, 4/(3pi)
 """
 
-from math import factorial
-
 import numpy as np
 
 from .spectral import _pointwise
 
-# Within this distance of a denominator root the series path is used.  At
-# the guard boundary the ratio's cancellation and the series' truncation
-# are both below ~1.3e-15 absolute.
+# Within this distance of a denominator root the ratio is divided through
+# by h exactly.  Its only reason is the written ratio's ~1e-16/h loss to
+# cancellation, below ~1.3e-15 absolute at the guard boundary.
 GUARD_RADIUS = 3e-2
-TAYLOR_ORDER = 10
 _PHASE_PERIOD = 3.0      # common period in y of every cos(q*y), sin(s*y)
 
-__all__ = [
-    "GUARD_RADIUS", "TAYLOR_ORDER",
-    "phi", "psi1", "psi2", "psi", "singular_points",
-]
+__all__ = ["GUARD_RADIUS", "phi", "psi1", "psi2", "psi", "singular_points"]
 
 
 class _RationalForm:
-    """One trigonometric-over-cubic form with precomputed root expansions."""
+    """One trigonometric-over-cubic form with its removable roots."""
 
     def __init__(self, center, p, q, r, s, d1, d3, root_offset):
         self.center = center
         self.p, self.q, self.r, self.s = p, q, r, s
         self.d1, self.d3 = d1, d3
         self.roots = (-root_offset, 0.0, root_offset)
-        # Taylor coefficients of numerator (orders 1..TAYLOR_ORDER+1) and
-        # denominator (orders 1..3) about each root, constant terms dropped:
-        # both vanish identically there.
-        self._series = {}
-        for y0 in self.roots:
-            num = tuple(self._num_deriv(y0, n) / factorial(n)
-                        for n in range(1, TAYLOR_ORDER + 2))
-            den = (d1 + 3.0 * d3 * y0 * y0, 3.0 * d3 * y0, d3)
-            self._series[y0] = (num, den)
-
-    def _num_deriv(self, y, n):
-        """n-th derivative of p*y*cos(q*y) + r*sin(s*y) at y."""
-        p, q, r, s = self.p, self.q, self.r, self.s
-        half_pi = 0.5 * np.pi
-        poly = p * (y * q**n * np.cos(q * y + n * half_pi)
-                    + n * q ** (n - 1) * np.cos(q * y + (n - 1) * half_pi))
-        return poly + r * s**n * np.sin(s * y + n * half_pi)
+        # every q*y0 and s*y0 is a multiple of pi/2, so the cos and sin of
+        # each are 0 or +/-1, taken exactly
+        self._turns = {y0: tuple(round(f(a)) for a in (q * y0, s * y0)
+                                 for f in (np.cos, np.sin))
+                       for y0 in self.roots}
 
     def limit_at(self, y0):
-        num, den = self._series[y0]
-        return num[0] / den[0]
+        return self._near_root(0.0, y0)
 
-    def _series_eval(self, h, y0):
-        num, den = self._series[y0]
-        n_val = num[-1]
-        for c in num[-2::-1]:           # Horner
-            n_val = n_val * h + c
-        d_val = den[0] + den[1] * h + den[2] * h * h
-        return n_val / d_val
+    def _near_root(self, h, y0):
+        """N/h over D/h at y = y0 + h (module docstring)."""
+        p, q, r, s = self.p, self.q, self.r, self.s
+        cq, sq, cs, ss = self._turns[y0]
+        y = y0 + h
+        # cos(q*y), then sin(q*m) and cos(s*m) at m = (y + y0)/2 = y0 + h/2
+        cos_qy = cq * np.cos(q * h) - sq * np.sin(q * h)
+        sin_qm = sq * np.cos(0.5 * q * h) + cq * np.sin(0.5 * q * h)
+        cos_sm = cs * np.cos(0.5 * s * h) - ss * np.sin(0.5 * s * h)
+        num = (p * (cos_qy - y0 * q * sin_qm * np.sinc(0.5 * q * h / np.pi))
+               + r * s * cos_sm * np.sinc(0.5 * s * h / np.pi))
+        return num / (self.d3 * y * (y + y0) + (self.d1 + self.d3 * y0 * y0))
 
     def _values(self, y, phase, near, term):
         """The form at a 1-D y; near indexes every y close to a root.
@@ -124,7 +118,7 @@ class _RationalForm:
             h = y[near] - y0
             guarded = np.abs(h) < GUARD_RADIUS
             if guarded.any():
-                out[near[guarded]] = self._series_eval(h[guarded], y0)
+                out[near[guarded]] = self._near_root(h[guarded], y0)
         return out
 
 

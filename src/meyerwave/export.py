@@ -15,7 +15,8 @@ pointwise series (the closed forms, spectra and oracles) as columns that
 are computed ``_BLOCK`` points at a time as the writers read them, so no
 full-length grid or value array exists either: a ``sample`` of any length
 runs in the same memory.  The psi-sampled series (``envelope``, ``s_c``,
-``s_s``) take the DFT of the whole window and are one array.
+``s_s``) run the zero-padded convolution of ``signals`` over the whole
+window and are one array.
 
 Both writers compute their digits in numpy, a chunk at a time, with
 integer arithmetic only.  A double is exactly M * 2**E with a 53-bit M.
@@ -112,7 +113,7 @@ def grid_points(t_start, t_end, step):
 
 
 def _psi_signal(t, step):
-    """psi sampled on the export grid, which is also the DFT grid."""
+    """psi sampled on the export grid, the grid that signals convolves."""
     sig = signals.SampledSignal(t[0], step, closed_form.psi(t))
     signals.require_fine_grid(sig)
     return sig

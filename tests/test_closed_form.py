@@ -72,7 +72,7 @@ class TestSingularPoints:
              4.0 / (3.0 * np.pi)), abs=1e-14)
 
     def test_phi_zero_limit_is_exact_everywhere(self):
-        # the series path at the t = 0 root is the only source of phi(0)
+        # the root path at t = 0 is the only source of phi(0)
         exact = 2.0 / 3.0 + 4.0 / (3.0 * np.pi)
         assert singular_points()["phi"][1][1] == exact
         assert phi(-0.0) == exact
@@ -103,7 +103,7 @@ class TestContinuity:
                     assert abs(fn(s) - fn(s + sgn * h)) <= 50.0 * h
 
     def test_guard_seam_is_smooth(self):
-        # series path just inside the guard radius vs direct just outside
+        # root path just inside the guard radius vs direct just outside
         for fn, s in ((phi, 0.75), (psi1, 1.25), (psi2, 0.875)):
             inside = fn(s + GUARD_RADIUS - 1e-7)
             outside = fn(s + GUARD_RADIUS + 1e-7)
@@ -258,11 +258,22 @@ class TestEvaluation:
         near = near[np.all([np.abs(near - y0) >= GUARD_RADIUS
                             for y0 in form.roots], axis=0)]
         for y, bound in ((tail, 1e-10 / tail**2), (near, 1e-12)):
-            written = ((form.p * y * np.cos(form.q * y)
-                        + form.r * np.sin(form.s * y))
-                       / (form.d1 * y + form.d3 * y**3))
             got = closed_form._evaluate(y + form.center, (form,))
-            assert np.all(np.abs(got - written) <= bound)
+            assert np.all(np.abs(got - written_ratio(form, y)) <= bound)
+
+    @pytest.mark.parametrize("form", [closed_form._PHI, closed_form._PSI1,
+                                      closed_form._PSI2],
+                             ids=["phi", "psi1", "psi2"])
+    def test_root_path_is_the_same_ratio(self, form):
+        # the root path carries no truncation: from the guard radius out
+        # to h = 0.25, where the ratio as written is accurate, the two
+        # agree within the near bound above
+        h = np.geomspace(GUARD_RADIUS, 0.25, 200)
+        for y0 in form.roots:
+            for y in (y0 - h, y0 + h):
+                err = np.abs(form._near_root(y - y0, y0)
+                             - written_ratio(form, y))
+                assert np.max(err) <= 1e-12, y0
 
     # phi, psi1 and psi2 at float t, from the forms with exact multiples of
     # 2pi/3 evaluated at the float y = t - center in 400-digit arithmetic
@@ -306,6 +317,12 @@ class TestEvaluation:
         assert abs(psi(20.0)) <= 1.0 / 20.0**2
 
 
+def written_ratio(form, y):
+    """The form as written, with no guard and no phase reduction."""
+    return ((form.p * y * np.cos(form.q * y) + form.r * np.sin(form.s * y))
+            / (form.d1 * y + form.d3 * y**3))
+
+
 def single_form_reference(form, t):
     """Reference: one form on a 1-D t on its own, with a full-length guard
     mask per root."""
@@ -318,7 +335,7 @@ def single_form_reference(form, t):
     for y0 in form.roots:
         mask = np.abs(y - y0) < GUARD_RADIUS
         if mask.any():
-            out[mask] = form._series_eval(y[mask] - y0, y0)
+            out[mask] = form._near_root(y[mask] - y0, y0)
     return out
 
 

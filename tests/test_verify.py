@@ -32,7 +32,7 @@ EXPECTED_CHECKS = [
     "oracle_tail_decay",
     "dft_roundtrip",
     "parseval",
-    "hilbert_involution",
+    "hilbert_tone",
     "quadrature_reconstruction_closure",
     "scale_identity_closure",
     "envelope_dominance",
@@ -187,8 +187,8 @@ CORRUPTIONS = [
     (quadrature, "_wavelet_integrand",
      lambda f: lambda w: f(w) * (1.0 + 1e-9),
      "oracle_integrand_consistency"),
-    # ~2.96: H[H[x]] + x becomes 2x
-    (signals, "hilbert", lambda f: lambda s: s, "hilbert_involution"),
+    # ~2.10: the tone comes back untransformed
+    (signals, "hilbert", lambda f: lambda s: s, "hilbert_tone"),
 ]
 
 
@@ -246,6 +246,14 @@ class TestChecksCanFail:
                             + 1e-6 * (np.asarray(t) == root))
         check = oracle.replace("oracle", "oracle_agreement")
         assert not self.verdict(check).passed
+
+    def test_hilbert_tone_sees_a_swapped_sign(self, monkeypatch):
+        # ~2.96: the tone's transform comes back negated.  The tone is built
+        # after patching, so no cached transform is read.
+        original = signals._hilbert_kernel
+        monkeypatch.setattr(signals, "_hilbert_kernel",
+                            lambda n: -original(n))
+        assert not self.verdict("hilbert_tone").passed
 
     def test_dft_roundtrip_sees_a_scaled_inverse(self, monkeypatch):
         original = verify.np.fft.ifft
