@@ -30,10 +30,14 @@ algorithm, itself two transforms of a length of at least 2n - 1.
 A SampledSignal holds a read-only copy of its samples and cannot be
 reassigned, so its Hilbert transform is computed at most once and cached
 on it: scale_from_wavelet and envelope of one signal share one
-convolution.
+convolution.  A copy of 128 KiB or more lies in an anonymous memory map
+of its own, off the C heap: there, long-lived copies split the room that
+the transforms' 8 MiB buffers reuse, and peak memory moved by 5 MiB from
+run to run.
 """
 
 import math
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,6 +50,8 @@ CARRIER = 2.0 * np.pi            # synchronous-detection carrier w0
 CUTOFF = 2.0 * np.pi
 MAX_GRID_DT = 3.0 / 8.0          # Nyquist must exceed the 8pi/3 band edge
 INTERIOR_FRACTION = 0.8          # window used when quoting interior errors
+# samples this large get a map of their own (module docstring); Linux only
+_OWN_MAP_BYTES = 1 << 17 if hasattr(mmap, "MAP_POPULATE") else math.inf
 
 __all__ = [
     "CARRIER", "CUTOFF", "MAX_GRID_DT", "INTERIOR_FRACTION",
@@ -58,6 +64,12 @@ __all__ = [
 
 class InvalidGrid(ValueError):
     pass
+
+
+def _own_map(nbytes):
+    """nbytes in a private anonymous map, its pages faulted in at once."""
+    return mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+                     | mmap.MAP_POPULATE)
 
 
 @dataclass(frozen=True)
@@ -73,7 +85,10 @@ class SampledSignal:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=float)
+        given = np.asarray(self.samples, dtype=float)
+        samples = np.ndarray(given.shape, buffer=_own_map(given.nbytes)
+                             if given.nbytes >= _OWN_MAP_BYTES else None)
+        samples[...] = given
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         if not np.isfinite(self.t0):

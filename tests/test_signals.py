@@ -1,3 +1,4 @@
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,22 @@ class TestSampledSignal:
     def test_rejects_bad_t0_or_dt(self, t0, dt, field):
         with pytest.raises(InvalidGrid, match=f"^{field} "):
             SampledSignal(t0, dt, np.zeros(4))
+
+    @pytest.mark.skipif(not hasattr(mmap, "MAP_POPULATE"),
+                        reason="the map is Linux only")
+    def test_large_copy_has_a_map_of_its_own(self):
+        # 2**14 doubles are 128 KiB: in the C heap such copies split the
+        # room that the transforms' buffers reuse (module docstring)
+        data = np.arange(2.0**14)
+        big = SampledSignal(0.0, 1.0, data)
+        small = SampledSignal(0.0, 1.0, data[1:])
+        data[:] = 0.0
+        assert isinstance(big.samples.base, mmap.mmap)
+        assert not isinstance(small.samples.base, mmap.mmap)
+        assert np.array_equal(big.samples, np.arange(2.0**14))
+        assert np.array_equal(small.samples, np.arange(1.0, 2.0**14))
+        with pytest.raises(ValueError):
+            big.samples[0] = 1.0
 
 
 class TestSample:
