@@ -3,8 +3,8 @@
 Public surface:
 
 - :mod:`meyerwave.spectral` -- frequency-domain definitions.
-- :mod:`meyerwave.closed_form` -- time-domain closed forms with removable
-  singularities handled by local series expansion.
+- :mod:`meyerwave.closed_form` -- time-domain closed forms, divided through
+  exactly by the distance to each removable singularity beside it.
 - :mod:`meyerwave.quadrature` -- inverse-Fourier quadrature oracle.
 - :mod:`meyerwave.signals` -- Hilbert transform, synchronous-detection
   decomposition and reconstruction; every transform is a zero-padded

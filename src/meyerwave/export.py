@@ -8,15 +8,14 @@ indent=2)`` lays them out; ``grid.step`` is ``null`` for a one-point axis,
 which has no spacing.
 
 Both writers format ``_ROWS`` rows at a time and write each chunk with one
-call, so a file is never held whole in memory.  The bytes are those a
-per-row loop (CSV) or ``json.dump(payload, stream, indent=2)`` (JSON)
-would write.  ``evaluate_series`` returns the grid and the values of a
-pointwise series (the closed forms, spectra and oracles) as columns that
-are computed ``_BLOCK`` points at a time as the writers read them, so no
-full-length grid or value array exists either: a ``sample`` of any length
-runs in the same memory.  The psi-sampled series (``envelope``, ``s_c``,
-``s_s``) run the zero-padded convolution of ``signals`` over the whole
-window and are one array.
+call, so a file is never held whole in memory; the bytes are those a
+per-row loop would write.  ``evaluate_series`` returns the grid and the
+values of a pointwise series (the closed forms, spectra and oracles) as
+columns that are computed ``_BLOCK`` points at a time as the writers read
+them, so no full-length grid or value array exists either: a ``sample``
+of any length runs in the same memory.  The psi-sampled series
+(``envelope``, ``s_c``, ``s_s``) run the zero-padded convolution of
+``signals`` over the whole window and are one array.
 
 Both writers compute their digits in numpy, a chunk at a time, with
 integer arithmetic only.  A double is exactly M * 2**E with a 53-bit M.
@@ -43,6 +42,8 @@ are those of the multiple of 100 in it, if there is one, else of the
 multiple of 10 in it nearest x, else D rounded; a tie at the shortest
 length goes to the even digit, and a result of 10**17 moves k up by one.
 
+The text of D comes four digits at a time from one table of the 10,000
+groups, which also marks each group's bytes up to its last nonzero digit.
 One layout routine then places the digits as per-slot tables say: one
 slot per k, one for zero and one for the fallback.  ``%g``'s tables drop
 trailing zeros but keep integer digits, give -4 <= k < 0 a ``0.000``
@@ -208,10 +209,7 @@ def evaluate_series(req):
 _POW5 = np.array([5 ** q for q in range(28)], dtype=np.uint64)
 _POW10 = np.array([1, 10, 100], dtype=np.uint64)
 _LOW32 = 0xFFFFFFFF
-_ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
-# ASCII '0' on every digit byte; byte 0 of lane 0 is the sign's
-_ASCII = np.array([[0x3030303030303000], [0x3030303030303030],
-                   [0x3030303030303030]], dtype=np.uint64)
+_HIGH32 = np.uint64(0xFFFFFFFF00000000)
 _ZERO, _OTHER = 28, 29      # layout slots after those of k = -11 .. 16
 
 
@@ -305,24 +303,20 @@ def _shortest(m, e, k, d, up, exact):
     return v, carry
 
 
-def _digits8(v):
-    """The 8 decimal digits of each v < 1e8 as bytes of a uint64, most
-    significant first (byte 0 is the low byte), digit values not ASCII."""
-    x = v // 10000
-    x |= (v - x * 10000) << 32
-    q = x * 5243 >> 19 & 0x0000007F0000007F     # x // 100 per 32-bit half
-    x = q | (x - q * 100) << 16
-    q = x * 103 >> 10 & 0x000F000F000F000F      # x // 10 per 16-bit quarter
-    return q | (x - q * 10) << 8
+def _digit_groups():
+    """For each group v < 10**4 of four digits, one uint64: in the low
+    half the text of its digits, most significant in the low byte, and in
+    the high half 0xFF on every byte up to its last nonzero digit."""
+    v = np.arange(10_000, dtype=np.uint64)
+    table = np.zeros_like(v)
+    for byte, place in enumerate((1000, 100, 10, 1)):
+        table |= (v // place % 10 + ord("0")) << 8 * byte
+        # a byte is kept when it or a later digit is nonzero
+        table |= (v % (10 * place) != 0) * np.uint64(0xFF << 8 * byte + 32)
+    return table
 
 
-def _filled(x):
-    """0xFF on every byte of x up to its last nonzero byte (digits <= 9)."""
-    nz = (x + 0x7F7F7F7F7F7F7F7F) & 0x8080808080808080
-    nz |= nz >> 8
-    nz |= nz >> 16
-    nz |= nz >> 32
-    return (nz >> 7) * 0xFF
+_DIGIT_GROUPS = _digit_groups()
 
 
 def _lanes(text, n=3):
@@ -377,27 +371,35 @@ _CSV_SEPARATORS = np.array([_lanes(b"\0" * 23 + b","),
 _JSON_SEPARATORS = np.array([_lanes(b"\0" * 23 + b",\n    ", 4)])
 
 
+def _digit_lanes(d):
+    """The text of each 17-digit d after a zero byte for the sign, in three
+    uint64 lanes, and 0xFF on every byte up to its last nonzero digit."""
+    # six groups of four digits, the last four of d // 10**14, d // 10**10,
+    # d // 10**6, d // 100, 100 d and 0: the sign's zero and d0..d2, d3..d6,
+    # d7..d10, d11..d14, d15 d16 and two zeros, and none
+    g = np.stack([d // 10 ** 14, d // 10 ** 10, d // 10 ** 6, d // 100,
+                  d * 100, 0 * d])
+    g[1:5] -= g[:4] * 10 ** 4
+    g = _DIGIT_GROUPS.take(g.view(np.int64))    # signed: a faster take
+    # trailing zeros are dropped: every byte up to the last nonzero digit is
+    # kept, so a group before a kept one is kept whole
+    for i in (3, 2, 1, 0):
+        g[i] |= (g[i + 1] > _LOW32) * _HIGH32
+    lo, hi = g[0::2], g[1::2]       # three lanes of two groups each
+    digits = lo & _LOW32 | hi << 32
+    digits[0] -= ord("0")           # the sign's byte
+    return digits, lo >> 32 | hi >> 32 << 32
+
+
 def _lay_out(x, d, slot, layout, shifts, separators, fallback):
     """The text of each x from its digits, the 17-digit integer d, laid
     out by the tables of its slot and followed by its separator, the
     rows of separators taken in turn; fallback formats the x of slot
     _OTHER."""
-    d = np.where(slot < _ZERO, d, 0)
-    # three lanes of digit values: a zero for the sign, d0..d6; d7..d14;
-    # d15 d16
-    h = d // 10 ** 10
-    d -= h * 10 ** 10
-    t = d // 100
-    digits = _digits8(np.stack([h, t, d - t * 100]))
-    digits[2] >>= 48
-    # trailing zeros are dropped: keep every byte up to the last nonzero
-    # digit, and the integer digits
-    keep = _filled(digits)
-    keep[1] |= (keep[2] != 0) * _ALL
-    keep[0] |= (keep[1] != 0) * _ALL
+    digits, keep = _digit_lanes(np.where(slot < _ZERO, d, 0))
     stay, point, text, integer = layout.take(slot, axis=2)
     keep |= integer
-    chars = (digits | _ASCII) & keep
+    chars = digits & keep
     moved = chars & ~stay
     shift = shifts.take(slot)
     out = chars & stay | keep & point | text | moved << shift

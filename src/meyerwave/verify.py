@@ -244,14 +244,32 @@ def _signal_checks(sig):
     t = sig.times
     inner = signals.interior_slice(n)
 
-    coeffs = np.fft.fft(sig.samples)
-    round_trip = np.fft.ifft(coeffs).real
-    yield ("dft_roundtrip",
-           float(np.max(np.abs(round_trip - sig.samples))), 1e-12)
+    # Round-off: an m-point transform errs by at most t eta in the 2-norm,
+    # relative, with t = 13 >= log2 m and eta < 6.7u (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., 2002, Thm 24.2), so a
+    # convolution of x with a kernel wrapped into g errs by at most
+    # ((2 t eta + 8u) |g|_1 + t eta sqrt(m) |g|_2) |x|_2.  On-bin tones on
+    # the signal grid less its last point, where the carrier is a bin too,
+    # come back exactly, to 3.5e-11 (|g|_1 = 5.3, sqrt(m) |g|_2 = 16.0,
+    # |x|_2 <= 3 sqrt(n)) plus 1.5e-12 from carrier angles 32 pi u off.
+    tone_n = SIGNAL_POINTS - 1
+    k = np.arange(tone_n)
+    a = np.cos(2.0 * np.pi * 3.0 * k / tone_n)
+    b = 0.5 * np.sin(2.0 * np.pi * 7.0 * k / tone_n)
+    carrier = signals.CARRIER * signals._grid(-SIGNAL_SPAN, SIGNAL_DT, tone_n)
+    s_c, s_s = signals.decompose_quadrature(signals.SampledSignal(
+        -SIGNAL_SPAN, SIGNAL_DT, a * np.cos(carrier) + b * np.sin(carrier)))
+    yield ("decompose_tone",
+           float(np.max(np.abs([s_c.samples - a, s_s.samples - b]))), 1e-10)
 
-    time_energy = float(np.sum(sig.samples**2))
-    freq_energy = float(np.sum(np.abs(coeffs)**2)) / n
-    yield ("parseval", abs(freq_energy - time_energy) / time_energy, 1e-10)
+    # |H| = 1 on every bin but DC, and an odd n has no Nyquist bin, so
+    # sum H[x]^2 = sum x^2 - (sum x)^2 / n; relative to sum x^2, twice
+    # 1.1e-12 (|g|_1 = 10.8, sqrt(m) |g|_2 = 92.9) and the sums': 2.3e-12
+    energy = float(np.sum(sig.samples**2))
+    h_energy = float(np.sum(signals.hilbert(sig).samples**2))
+    dc_energy = float(np.sum(sig.samples))**2 / n
+    yield ("hilbert_energy",
+           abs(h_energy - (energy - dc_energy)) / energy, 1e-11)
 
     # on-bin tones, whose transform is exact: H[sin] = -cos, H[cos] = sin
     k = np.arange(n)

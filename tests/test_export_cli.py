@@ -293,6 +293,18 @@ class TestStreamedSample:
         assert len(export.grid_points(-50.0, stop, 1e-4)) == n
 
 
+class TestDigitGroups:
+    def test_every_group_of_four_digits(self):
+        # each entry: the group's text, then 0xFF on every byte up to its
+        # last nonzero digit, as 8 little-endian bytes
+        table = export._DIGIT_GROUPS.astype("<u8").tobytes()
+        for v in range(10_000):
+            text = b"%04d" % v
+            kept = len(text.rstrip(b"0"))
+            assert table[8 * v:8 * v + 8] == (
+                text + b"\xff" * kept + b"\0" * (4 - kept)), v
+
+
 class TestCsvDigits:
     """The vectorized %.17g digits against the per-row reference writer."""
 
