@@ -101,6 +101,11 @@ def _cmd_decompose(args):
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a "-" token for a value only if it reads like -2 or -.5
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in ("--from", "--to", "--step") and argv[i][:2] != "--":
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {"sample": _cmd_sample, "verify": _cmd_verify,

@@ -14,8 +14,8 @@ values of a pointwise series (the closed forms, spectra and oracles) as
 columns that are computed ``_BLOCK`` points at a time as the writers read
 them, so no full-length grid or value array exists either: a ``sample``
 of any length runs in the same memory.  The psi-sampled series
-(``envelope``, ``s_c``, ``s_s``) run the zero-padded convolution of
-``signals`` over the whole window and are one array.
+(``envelope``, ``s_c``, ``s_s``) convolve psi as ``signals.sample``
+samples it on the whole window, and are one array; their grid is a column.
 
 Both writers compute their digits in numpy, a chunk at a time, with
 integer arithmetic only.  A double is exactly M * 2**E with a 53-bit M.
@@ -113,19 +113,12 @@ def grid_points(t_start, t_end, step):
     return signals._grid(t_start, step, _grid_size(t_start, t_end, step))
 
 
-def _psi_signal(t, step):
-    """psi sampled on the export grid, the grid that signals convolves."""
-    sig = signals.SampledSignal(t[0], step, closed_form.psi(t))
-    signals.require_fine_grid(sig)
-    return sig
-
-
 # name -> (axis label, evaluator, pointwise), in the CLI's choices order.
 # A pointwise evaluator maps abscissas t to values, each value from its
-# own t alone, so it is evaluated a block at a time; the others take the
-# whole window t and its step.  Evaluators look library functions up
-# through their module on each call, so that a replaced module attribute
-# takes effect.
+# own t alone, so it is evaluated a block at a time; the others take psi
+# sampled on the whole window, a signals.SampledSignal.  Evaluators look
+# library functions up through their module on each call, so that a
+# replaced module attribute takes effect.
 SERIES = {
     "phi": ("t", lambda t: closed_form.phi(t), True),
     "psi": ("t", lambda t: closed_form.psi(t), True),
@@ -134,12 +127,11 @@ SERIES = {
     "phi_spectrum": ("w", lambda t: spectral.scale_spectrum(t), True),
     "psi_spectrum_magnitude":
         ("w", lambda t: spectral.wavelet_spectrum_magnitude(t), True),
-    "envelope": ("t", lambda t, step:
-                 signals.envelope(_psi_signal(t, step)).samples, False),
-    "s_c": ("t", lambda t, step: signals.decompose_quadrature(
-        _psi_signal(t, step))[0].samples, False),
-    "s_s": ("t", lambda t, step: signals.decompose_quadrature(
-        _psi_signal(t, step))[1].samples, False),
+    "envelope": ("t", lambda sig: signals.envelope(sig).samples, False),
+    "s_c": ("t", lambda sig: signals.decompose_quadrature(sig)[0].samples,
+            False),
+    "s_s": ("t", lambda sig: signals.decompose_quadrature(sig)[1].samples,
+            False),
     "phi_oracle": ("t", lambda t: quadrature.phi_oracle(t), True),
     "psi_oracle": ("t", lambda t: quadrature.psi_oracle(t), True),
 }
@@ -203,7 +195,9 @@ def evaluate_series(req):
     label, evaluate, pointwise = SERIES[req.function]
     if pointwise:
         return label, axis, _Column(n, lambda lo, hi: evaluate(axis[lo:hi]))
-    return label, axis, evaluate(axis[:], req.step)
+    sig = signals.sample(closed_form.psi, req.t_start, req.step, n)
+    signals.require_fine_grid(sig)
+    return label, axis, evaluate(sig)
 
 
 _POW5 = np.array([5 ** q for q in range(28)], dtype=np.uint64)

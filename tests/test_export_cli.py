@@ -266,6 +266,24 @@ class TestStreamedSample:
                 mock.patch.object(export, "_ROWS", rows):
             self.assert_streamed_bytes(tmp_path, function, fmt, n)
 
+    # psi comes from signals.sample, so the grid of a psi-sampled series
+    # is read a block at a time, as any other series' grid is
+    @pytest.mark.parametrize("function", ["envelope", "s_c", "s_s"])
+    def test_psi_sampled_grid_holds_one_block(self, tmp_path, function):
+        held = []
+
+        class Column(export._Column):
+            def __init__(self, n, evaluate):
+                super().__init__(n, lambda lo, hi: held.append(hi - lo)
+                                 or evaluate(lo, hi))
+
+        with mock.patch.object(export, "_BLOCK", 32), \
+                mock.patch.object(export, "_ROWS", 8), \
+                mock.patch.object(export, "_Column", Column):
+            text, _ = sampled(tmp_path, function, "csv", -3.0, self.STEP, 100)
+        assert len(text.splitlines()) == 101
+        assert held and max(held) <= 32
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_bytes_one_past_a_block(self, tmp_path, fmt):
         self.assert_streamed_bytes(tmp_path, "psi", fmt, export._BLOCK + 1)
@@ -532,6 +550,31 @@ class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert main(["sample", "--function", "phi", "--from", "2",
                      "--to", "1", "--step", "0.1"]) == 2
+
+    # argparse takes a token that starts with "-" for an option unless it
+    # reads like -2 or -.5; main joins such a value to its option with "="
+    @pytest.mark.parametrize("start, end, step", [
+        (-1e-09, 1e-09, 1e-10), (-5e-324, 5e-324, 5e-324),
+        (-1.7976931348623157e+308, -1e-09, 1e308), (-1e308, -1e307, 1e307)])
+    @pytest.mark.parametrize("spaced", [True, False], ids=["spaced", "equals"])
+    def test_negative_bounds_with_exponents(self, tmp_path, start, end, step,
+                                            spaced):
+        out = tmp_path / "neg.csv"
+        argv = ["sample", "--function", "phi", "--output", str(out)]
+        for option, value in (("--from", start), ("--to", end),
+                              ("--step", step)):
+            argv += ([option, repr(value)] if spaced
+                     else [f"{option}={value!r}"])
+        assert main(argv) == 0
+        _, axis, _ = export.parse_csv(out.read_text())
+        assert np.array_equal(axis, export.grid_points(start, end, step))
+
+    @pytest.mark.parametrize("step", ["-1e-3", "-1", "-inf"])
+    def test_negative_step_is_the_step_error(self, capsys, step):
+        assert main(["sample", "--function", "phi", "--from", "0",
+                     "--to", "1", "--step", step]) == 2
+        assert capsys.readouterr().err == (
+            f"error: step must be positive and finite, got {float(step)!r}\n")
 
     def test_unknown_function_is_argparse_error(self):
         with pytest.raises(SystemExit) as exc_info:

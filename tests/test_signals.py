@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from meyerwave import closed_form, signals
+from meyerwave import closed_form, quadrature, signals
 from meyerwave.signals import (InvalidGrid, SampledSignal,
                                decompose_quadrature, envelope, hilbert,
                                interior_slice, reconstruct_quadrature,
                                sample, scale_from_wavelet)
 from meyerwave.signals import CARRIER, CUTOFF, MAX_GRID_DT
+from meyerwave.spectral import W_HI
 
 
 def make_tone(freq_cycles, n=256, dt=1.0 / 32.0, kind="cos"):
@@ -500,3 +501,112 @@ class TestEnvelope:
         k = np.argmax(env)
         assert sig.times[k] == pytest.approx(0.5, abs=sig.dt)
         assert env[k] == pytest.approx(4.0 / np.pi, abs=1e-3)
+
+
+# x = t - 1/2 of H[psi]'s removable roots
+HILBERT_PSI_ROOTS = (-0.75, -0.375, 0.375, 0.75)
+
+
+def hilbert_psi(t):
+    """H[psi] at t by its closed form.  psi(x) at x = t - 1/2 is twice the
+    integral of its spectral integrand against cos(w x); H[psi] is the same
+    integral against sin(w x), summed over both bands into one ratio.  It
+    is odd in x, has removable roots at HILBERT_PSI_ROOTS and decays as
+    x**-2."""
+    x = np.asarray(t) - 0.5
+    low, high = np.sin(2 * np.pi / 3 * x), np.sin(8 * np.pi / 3 * x)
+    num = (-64 * x**2 * low - 32 * x**2 * high
+           - 36 * x * np.cos(4 * np.pi / 3 * x) + 9 * low + 18 * high)
+    return 12 * num / (np.pi * (16 * x**2 - 9) * (64 * x**2 - 9))
+
+
+def off_roots(t, gap=1e-3):
+    """Whether each t is at least gap from every root of hilbert_psi."""
+    x = np.asarray(t) - 0.5
+    return np.min(np.abs(np.subtract.outer(x, HILBERT_PSI_ROOTS)),
+                  axis=-1) >= gap
+
+
+class TestExactReferences:
+    """The transforms of psi against exact values, from the closed forms of
+    psi and H[psi].  In continuous time, for any cutoff in (4pi/3, 8pi/3):
+    s_c = psi cos 2pi t + H[psi] sin 2pi t, which scale_from_wavelet also
+    computes, s_s = psi sin 2pi t - H[psi] cos 2pi t, and the envelope is
+    sqrt(psi**2 + H[psi]**2)."""
+
+    def test_hilbert_psi_matches_sine_quadrature(self):
+        t = np.linspace(-7.5, 8.5, 16001)
+        t = t[off_roots(t)]
+        x = t - 0.5
+        # 32 Gauss-Legendre nodes per 2pi/3-wide branch of the oracle's own
+        # integrand: the sine turns through at most |x| pi/3 < 9 radians
+        # either side of a branch's centre, which they integrate to rounding
+        u, weights = np.polynomial.legendre.leggauss(32)
+        branches = quadrature._PSI_BRANCHES
+        quad = np.zeros_like(x)
+        for lo, hi in zip(branches, branches[1:]):
+            c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            w = c + h * u
+            quad += np.sin(np.multiply.outer(x, w)) @ (
+                2 * quadrature._wavelet_integrand(w) * (h * weights))
+        # Both are exact but for rounding.  Each quadrature phase w x
+        # rounds by at most W_HI |x| eps, and each of the 192 terms by
+        # eps, on weights that sum to less than 2.  Each term of the form's
+        # numerator is at most 12 (64 + 32) x**2, 12 * 36 |x| or 12 * 18,
+        # and rounds by its phase's W_HI |x| eps and a few eps more, over
+        # the denominator.
+        eps = np.finfo(float).eps
+        phase = W_HI * np.abs(x)
+        terms = 12 * (96 * x**2 + 36 * np.abs(x) + 27)
+        den = np.abs(np.pi * (16 * x**2 - 9) * (64 * x**2 - 9))
+        bound = eps * (2 * (phase + 192) + terms * (phase + 8) / den)
+        assert np.all(np.abs(hilbert_psi(t) - quad) <= bound)
+
+    SPAN, DT = 64.0, 1.0 / 64.0
+    # The transforms err on this grid only through its window: psi is
+    # band-limited far below Nyquist, so on samples of the whole line they
+    # would be exact.  The window misses psi beyond each edge and wraps in
+    # psi from the other edge.  Beyond |x| = L, psi is a sum of cos(q x) or
+    # sin(q x) times factors that fall monotonically, with q >= 2pi/3, and
+    # x**2 |psi| <= A.  A kernel that falls as 1 / (pi D) from a distance D
+    # to the edge, summed against such a tail, gives at most
+    # 2 A / (q L**2) / (pi D) (second mean value theorem); two edges, each
+    # missed and wrapped, make four.  scale_from_wavelet and the envelope
+    # err by at most H[psi]'s error.  Mixing 2 psi with cos or sin 2pi t
+    # before the low-pass doubles the amplitude, and every frequency of
+    # the mixed tail under the low-pass kernel is still at least 2pi/3 from
+    # zero, so s_c and s_s may err by twice as much.
+    # L is the least |x| beyond the window; A is p/|d3| of psi1 and psi2
+    # for the x**-2 terms and 1/(pi L) for the x**-3 terms there
+    L = SPAN - 0.5
+    A = 9 / (8 * np.pi) + 1 / (np.pi * L)
+
+    # output -> (its samples from psi's signal, its exact value from psi,
+    # H[psi], cos 2pi t and sin 2pi t, and the factor on the bound)
+    OUTPUTS = {
+        "hilbert": (hilbert, lambda p, h, c, s: h, 1),
+        "scale_from_wavelet": (scale_from_wavelet,
+                               lambda p, h, c, s: p * c + h * s, 1),
+        "s_c": (lambda sig: decompose_quadrature(sig)[0],
+                lambda p, h, c, s: p * c + h * s, 2),
+        "s_s": (lambda sig: decompose_quadrature(sig)[1],
+                lambda p, h, c, s: p * s - h * c, 2),
+        "envelope": (envelope, lambda p, h, c, s: np.sqrt(p**2 + h**2), 1),
+    }
+
+    @pytest.mark.parametrize("output", OUTPUTS)
+    def test_within_the_window_bound(self, output):
+        transform, reference, factor = self.OUTPUTS[output]
+        n = int(2 * self.SPAN / self.DT) + 1
+        sig = sample(closed_form.psi, -self.SPAN, self.DT, n)
+        keep = np.zeros(n, dtype=bool)
+        keep[interior_slice(n)] = True
+        keep &= off_roots(sig.times)
+        t = sig.times[keep]
+        want = reference(closed_form.psi(t), hilbert_psi(t),
+                         np.cos(CARRIER * t), np.sin(CARRIER * t))
+        distance = self.SPAN - np.max(np.abs(t))
+        bound = (factor * 4 * 2 * self.A
+                 / (2 * np.pi / 3 * self.L**2 * np.pi * distance))
+        got = transform(sig).samples[keep]
+        assert np.max(np.abs(got - want)) <= bound
