@@ -26,6 +26,7 @@ EXIT_INTERNAL_ERROR = 3
 
 
 def build_parser():
+    """The parser, and the _float_spellings of sample's options."""
     parser = argparse.ArgumentParser(
         prog="meyerwave",
         description="Meyer wavelet closed forms: sampling, verification, "
@@ -33,13 +34,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sample = sub.add_parser("sample", help="export one waveform or spectrum")
-    p_sample.add_argument("--function", required=True, choices=export.FUNCTIONS)
-    p_sample.add_argument("--from", dest="t_start", type=float, required=True)
-    p_sample.add_argument("--to", dest="t_end", type=float, required=True)
-    p_sample.add_argument("--step", type=float, required=True)
-    p_sample.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sample.add_argument("--output", default=None,
-                          help="output path (default stdout)")
+    add = p_sample.add_argument
+    options = [add("--function", required=True, choices=export.FUNCTIONS),
+               add("--from", dest="t_start", type=float, required=True),
+               add("--to", dest="t_end", type=float, required=True),
+               add("--step", type=float, required=True),
+               add("--format", choices=("csv", "json"), default="csv"),
+               add("--output", default=None,
+                   help="output path (default stdout)")]
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--output", default=None,
@@ -50,7 +52,16 @@ def build_parser():
                                 "the reconstruction error")
     p_dec.add_argument("--output", default=".",
                        help="output directory for the exported files")
-    return parser
+    return parser, _float_spellings(options)
+
+
+def _float_spellings(actions):
+    """Every token argparse reads as a float option of actions: its full
+    name, and each abbreviation that no other long option shares."""
+    names = [o for a in actions for o in a.option_strings if o[:2] == "--"]
+    return {o[:k] for a in actions if a.type is float
+            for o in a.option_strings for k in range(3, len(o) + 1)
+            if o[:k] == o or sum(n.startswith(o[:k]) for n in names) == 1}
 
 
 def _write_series(path, fmt, name, label, axis, values):
@@ -102,11 +113,11 @@ def _cmd_decompose(args):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser, float_options = build_parser()
     # argparse takes a "-" token for a value only if it reads like -2 or -.5
     for i in reversed(range(1, len(argv))):
-        if argv[i - 1] in ("--from", "--to", "--step") and argv[i][:2] != "--":
+        if argv[i - 1] in float_options and argv[i][:2] != "--":
             argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
-    parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {"sample": _cmd_sample, "verify": _cmd_verify,
                 "decompose": _cmd_decompose}

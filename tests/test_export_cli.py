@@ -569,6 +569,32 @@ class TestCli:
         _, axis, _ = export.parse_csv(out.read_text())
         assert np.array_equal(axis, export.grid_points(start, end, step))
 
+    # main joins a value to each abbreviation that argparse resolves to one
+    # option; --f could be --function, --from or --format
+    @pytest.mark.parametrize("abbreviation, option", [
+        ("--fr", "--from"), ("--fro", "--from"), ("--t", "--to"),
+        ("--st", "--step")])
+    def test_abbreviated_options_take_negative_values(self, tmp_path, capsys,
+                                                      abbreviation, option):
+        def argv(spelled, out):
+            argv = ["sample", "--function", "phi", "--output", str(out)]
+            for name, value in (("--from", "-2e-09"), ("--to", "-1e-09"),
+                                ("--step", "1e-10")):
+                argv += [spelled if name == option else name, value]
+            return argv
+
+        assert main(argv(abbreviation, tmp_path / "abbr.csv")) == 0
+        assert main(argv(option, tmp_path / "full.csv")) == 0
+        assert (tmp_path / "abbr.csv").read_bytes() \
+            == (tmp_path / "full.csv").read_bytes()
+        with pytest.raises(SystemExit) as exc_info:
+            main(["sample", "--function", "phi", "--f", "-1e-09",
+                  "--to", "1e-09", "--step", "1e-10",
+                  "--output", str(tmp_path / "f.csv")])
+        assert exc_info.value.code == 2
+        assert "ambiguous option: --f" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
+
     @pytest.mark.parametrize("step", ["-1e-3", "-1", "-inf"])
     def test_negative_step_is_the_step_error(self, capsys, step):
         assert main(["sample", "--function", "phi", "--from", "0",

@@ -1,4 +1,3 @@
-import mmap
 import tracemalloc
 
 import numpy as np
@@ -40,22 +39,6 @@ class TestSampledSignal:
     def test_rejects_bad_t0_or_dt(self, t0, dt, field):
         with pytest.raises(InvalidGrid, match=f"^{field} "):
             SampledSignal(t0, dt, np.zeros(4))
-
-    @pytest.mark.skipif(not hasattr(mmap, "MAP_POPULATE"),
-                        reason="the map is Linux only")
-    def test_large_copy_has_a_map_of_its_own(self):
-        # 2**14 doubles are 128 KiB: in the C heap such copies split the
-        # room that the transforms' buffers reuse (module docstring)
-        data = np.arange(2.0**14)
-        big = SampledSignal(0.0, 1.0, data)
-        small = SampledSignal(0.0, 1.0, data[1:])
-        data[:] = 0.0
-        assert isinstance(big.samples.base, mmap.mmap)
-        assert not isinstance(small.samples.base, mmap.mmap)
-        assert np.array_equal(big.samples, np.arange(2.0**14))
-        assert np.array_equal(small.samples, np.arange(1.0, 2.0**14))
-        with pytest.raises(ValueError):
-            big.samples[0] = 1.0
 
 
 class TestSample:
@@ -356,24 +339,30 @@ class TestKernels:
 
 
 class TestHilbertCache:
-    def wavelet_signal(self):
-        return sample(closed_form.psi, -8.0, 1.0 / 64.0, 1025)
+    # 2**14 + 1 doubles are past 128 KiB, where glibc may serve a copy from
+    # a map of its own rather than the heap
+    sizes = (1025, 2**14 + 1)
+
+    def wavelet_signal(self, n=1025):
+        return sample(closed_form.psi, -8.0, 1.0 / 64.0, n)
 
     def test_samples_are_read_only(self):
-        sig = self.wavelet_signal()
-        with pytest.raises(ValueError):
-            sig.samples[0] = 1.0
+        for n in self.sizes:
+            sig = self.wavelet_signal(n)
+            with pytest.raises(ValueError):
+                sig.samples[0] = 1.0
 
     def test_samples_are_a_copy(self):
-        data = closed_form.psi(-8.0 + np.arange(1025) / 64.0)
-        sig = SampledSignal(-8.0, 1.0 / 64.0, data)
-        original = data.copy()
-        first = hilbert(sig).samples.copy()
-        data[:] = 0.0
-        assert np.array_equal(sig.samples, original)
-        assert np.array_equal(hilbert(sig).samples, first)
-        assert np.array_equal(
-            first, hilbert(SampledSignal(-8.0, 1.0 / 64.0, original)).samples)
+        for n in self.sizes:
+            data = closed_form.psi(-8.0 + np.arange(n) / 64.0)
+            sig = SampledSignal(-8.0, 1.0 / 64.0, data)
+            original = data.copy()
+            first = hilbert(sig).samples.copy()
+            data[:] = 0.0
+            assert np.array_equal(sig.samples, original)
+            assert np.array_equal(hilbert(sig).samples, first)
+            assert np.array_equal(first, hilbert(
+                SampledSignal(-8.0, 1.0 / 64.0, original)).samples)
 
     def test_cached_result_is_bit_identical_to_uncached(self):
         sig = self.wavelet_signal()
