@@ -26,7 +26,8 @@ EXIT_INTERNAL_ERROR = 3
 
 
 def build_parser():
-    """The parser, and the _float_spellings of sample's options."""
+    """The parser, and the _value_spellings of sample's options, which
+    spell verify's and decompose's --output too."""
     parser = argparse.ArgumentParser(
         prog="meyerwave",
         description="Meyer wavelet closed forms: sampling, verification, "
@@ -52,16 +53,16 @@ def build_parser():
                                 "the reconstruction error")
     p_dec.add_argument("--output", default=".",
                        help="output directory for the exported files")
-    return parser, _float_spellings(options)
+    return parser, _value_spellings(options)
 
 
-def _float_spellings(actions):
-    """Every token argparse reads as a float option of actions: its full
-    name, and each abbreviation that no other long option shares."""
+def _value_spellings(actions):
+    """Every token argparse reads as one of actions, options of one value:
+    its full name, and each abbreviation that no other long option
+    shares."""
     names = [o for a in actions for o in a.option_strings if o[:2] == "--"]
-    return {o[:k] for a in actions if a.type is float
-            for o in a.option_strings for k in range(3, len(o) + 1)
-            if o[:k] == o or sum(n.startswith(o[:k]) for n in names) == 1}
+    return {o[:k] for o in names for k in range(3, len(o) + 1)
+            if k == len(o) or sum(n.startswith(o[:k]) for n in names) == 1}
 
 
 def _write_series(path, fmt, name, label, axis, values):
@@ -113,10 +114,10 @@ def _cmd_decompose(args):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, float_options = build_parser()
+    parser, value_options = build_parser()
     # argparse takes a "-" token for a value only if it reads like -2 or -.5
     for i in reversed(range(1, len(argv))):
-        if argv[i - 1] in float_options and argv[i][:2] != "--":
+        if argv[i - 1] in value_options and argv[i][:2] != "--":
             argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = parser.parse_args(argv)
     handlers = {"sample": _cmd_sample, "verify": _cmd_verify,

@@ -54,7 +54,8 @@ uint64 lanes (24 bytes), its separator ends them (``,`` or a newline in
 CSV, and ``,\\n    `` in JSON, which takes a fourth lane), and one
 ``bytes.translate`` removes the NUL padding.  NaN, infinities,
 subnormals, and |x| <= 1e-11 or |x| >= 1e17 are formatted by CPython's
-own ``%.17g`` or ``json.dumps`` (the double 1e-11 lies below 10**-11).
+own ``%.17g`` or ``repr`` (the double 1e-11 lies below 10**-11), and in
+JSON NaN and infinities by ``json.dumps``.
 """
 
 import json
@@ -426,7 +427,12 @@ def _json_items(x):
     m, e, k, d, up, exact, slot = _decimal(x)
     d, carry = _shortest(m, e, k, d, up, exact)
     return _lay_out(x, d, slot + carry, _REPR_LAYOUT, _REPR_SHIFT,
-                    _JSON_SEPARATORS, json.dumps)
+                    _JSON_SEPARATORS, _json_number)
+
+
+def _json_number(v):
+    """json.dumps(v) for a float v: its repr where it is finite."""
+    return float.__repr__(v) if math.isfinite(v) else json.dumps(v)
 
 
 def write_csv(stream, name, axis_label, axis, values):

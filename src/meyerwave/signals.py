@@ -35,7 +35,6 @@ perfbench's decompose workload (grids of up to 524,289 samples) peaks at
 93.3-94.4 MiB resident (ten 20 s runs, 2-vCPU VM, numpy 2.4.6).
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -101,7 +100,6 @@ class SampledSignal:
     @cached_property
     def _hilbert(self):
         """hilbert(self), computed on first use."""
-        _require_finite_bins(self)
         # The kernel is odd, so its gain is imaginary: the real gain is its
         # imaginary part, and the spectrum is turned by 1j in place.  The
         # gain is freed before the inverse transform and the spectrum before
@@ -134,28 +132,19 @@ def sample(f, t0, dt, n):
     return SampledSignal(t0, dt, f(_grid(t0, dt, n)))
 
 
-def _require_finite_bins(s):
-    """Raise InvalidGrid unless every DFT bin frequency of s is finite."""
-    # A step so small that 1/(n*dt) overflows gives infinite bins and a NaN
-    # DC bin (0 * inf); no filter or multiplier means anything on them.
-    # The top bin, n//2 steps of 1/(n*dt) rounded as fftfreq rounds it, is
-    # the largest, so it is finite exactly when every bin is.
-    n = s.samples.size
-    if not math.isfinite(2.0 * np.pi * (n // 2 * (1.0 / (n * float(s.dt))))):
-        raise InvalidGrid(f"dt={s.dt} is too small: the DFT bin "
-                          f"frequencies are not finite")
-
-
 def _cutoff_bin(s):
     """The last nonnegative DFT bin of s at or below CUTOFF.
 
     The low-pass keeps it, the bins below it and their mirrors: the mask is
     monotone in |bin|, and an even n's Nyquist bin lies beyond CUTOFF on a
-    fine grid.  Each frequency is rounded as fftfreq rounds it.
+    fine grid.  DC is always kept, so a step whose 1/(n*dt) overflows keeps
+    DC alone.  Each frequency is rounded as fftfreq rounds it.
     """
     n = s.samples.size
-    freqs = 2.0 * np.pi * (np.arange((n + 1) // 2) * (1.0 / (n * s.dt)))
-    return np.count_nonzero(freqs <= CUTOFF) - 1
+    with np.errstate(over="ignore"):
+        freqs = 2.0 * np.pi * (np.arange(1, (n + 1) // 2)
+                               * (1.0 / (n * float(s.dt))))
+    return np.count_nonzero(freqs <= CUTOFF)
 
 
 def _fast_size(size):
@@ -258,7 +247,6 @@ def decompose_quadrature(psi_s):
     the DFT bins at or below CUTOFF.  They share one kernel and its gain.
     """
     require_fine_grid(psi_s)
-    _require_finite_bins(psi_s)
     n = psi_s.samples.size
     # The kernel is even, so its gain is real.  The angle becomes the sine
     # mixer in place, and each spectrum is freed before replace_samples

@@ -103,12 +103,14 @@ class TestHilbert:
         assert np.max(np.abs(hilbert(s).samples)) < 1e-12
 
     @pytest.mark.parametrize("dt", [1e-312, 5e-324, 1e-308])
-    def test_rejects_step_with_non_finite_bins(self, dt):
-        # as decompose_quadrature does, although the multiplier needs only
-        # each bin's sign
-        with np.errstate(all="raise"):
-            with pytest.raises(InvalidGrid, match="not finite"):
-                hilbert(SampledSignal(0.0, dt, np.ones(101)))
+    def test_any_step_gives_the_unit_step_bits(self, dt):
+        # the multiplier reads each bin's sign, not its frequency, so a step
+        # whose 1/(n*dt) overflows changes nothing
+        x = np.sin(np.arange(101.0))
+        tiny, unit = SampledSignal(0.0, dt, x), SampledSignal(0.0, 1.0, x)
+        for f in (hilbert, envelope):
+            assert np.array_equal(f(tiny).samples.view(np.uint64),
+                                  f(unit).samples.view(np.uint64))
 
     @pytest.mark.parametrize("n", [2, 16, 256])
     def test_annihilates_nyquist(self, n):
@@ -437,11 +439,13 @@ class TestDecomposition:
             decompose_quadrature(coarse)
 
     @pytest.mark.parametrize("dt", [1e-312, 5e-324, 1e-308])
-    def test_rejects_step_with_non_finite_bins(self, dt):
-        # 1/(n*dt) or the largest bin overflows
-        with np.errstate(all="raise"):
-            with pytest.raises(InvalidGrid, match="not finite"):
-                decompose_quadrature(SampledSignal(0.0, dt, np.ones(101)))
+    def test_step_with_overflowing_bins_keeps_dc(self, dt):
+        # 1/(n*dt) or the largest bin overflows: every bin but DC lies
+        # beyond CUTOFF, so both components are constant
+        sig = sample(closed_form.psi, 0.0, dt, 101)
+        assert signals._cutoff_bin(sig) == 0
+        for part in decompose_quadrature(sig):
+            assert np.ptp(part.samples) <= 1e-15
 
     def test_grid_mismatch_rejected(self):
         a = SampledSignal(0.0, 0.1, np.zeros(8))
