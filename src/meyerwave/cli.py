@@ -7,7 +7,8 @@ written), 3 internal error (any other exception, after its traceback).
 verify and decompose take only --output: the signal grid
 (verify.SIGNAL_DT/SPAN) and the low-pass cutoff are fixed, decompose
 writes CSV and every verify tolerance is nominal.  The oracles do fixed
-work per point, so an oracle point at any finite t is sampled.
+work per point, so an oracle point at any finite t is sampled.  Every
+long option but --help takes a spaced value that starts with "-".
 """
 
 import argparse
@@ -26,8 +27,6 @@ EXIT_INTERNAL_ERROR = 3
 
 
 def build_parser():
-    """The parser, and the _value_spellings of sample's options, which
-    spell verify's and decompose's --output too."""
     parser = argparse.ArgumentParser(
         prog="meyerwave",
         description="Meyer wavelet closed forms: sampling, verification, "
@@ -36,13 +35,12 @@ def build_parser():
 
     p_sample = sub.add_parser("sample", help="export one waveform or spectrum")
     add = p_sample.add_argument
-    options = [add("--function", required=True, choices=export.FUNCTIONS),
-               add("--from", dest="t_start", type=float, required=True),
-               add("--to", dest="t_end", type=float, required=True),
-               add("--step", type=float, required=True),
-               add("--format", choices=("csv", "json"), default="csv"),
-               add("--output", default=None,
-                   help="output path (default stdout)")]
+    add("--function", required=True, choices=export.FUNCTIONS)
+    add("--from", dest="t_start", type=float, required=True)
+    add("--to", dest="t_end", type=float, required=True)
+    add("--step", type=float, required=True)
+    add("--format", choices=("csv", "json"), default="csv")
+    add("--output", default=None, help="output path (default stdout)")
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--output", default=None,
@@ -53,16 +51,7 @@ def build_parser():
                                 "the reconstruction error")
     p_dec.add_argument("--output", default=".",
                        help="output directory for the exported files")
-    return parser, _value_spellings(options)
-
-
-def _value_spellings(actions):
-    """Every token argparse reads as one of actions, options of one value:
-    its full name, and each abbreviation that no other long option
-    shares."""
-    names = [o for a in actions for o in a.option_strings if o[:2] == "--"]
-    return {o[:k] for o in names for k in range(3, len(o) + 1)
-            if k == len(o) or sum(n.startswith(o[:k]) for n in names) == 1}
+    return parser
 
 
 def _write_series(path, fmt, name, label, axis, values):
@@ -114,12 +103,15 @@ def _cmd_decompose(args):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, value_options = build_parser()
-    # argparse takes a "-" token for a value only if it reads like -2 or -.5
+    # argparse takes a "-" token for a value only if it reads like -2 or
+    # -.5, so one after a long option joins it with "=", and argparse
+    # resolves the option and its abbreviations; --help and -- take none
     for i in reversed(range(1, len(argv))):
-        if argv[i - 1] in value_options and argv[i][:2] != "--":
-            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
-    args = parser.parse_args(argv)
+        prev = argv[i - 1]
+        if (argv[i][:1] == "-" and argv[i][:2] != "--" and prev[:2] == "--"
+                and "=" not in prev and not "--help".startswith(prev)):
+            argv[i - 1:i + 1] = [prev + "=" + argv[i]]
+    args = build_parser().parse_args(argv)
     handlers = {"sample": _cmd_sample, "verify": _cmd_verify,
                 "decompose": _cmd_decompose}
     try:

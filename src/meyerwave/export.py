@@ -97,10 +97,20 @@ class ExportRequest:
             raise signals.InvalidGrid("export would exceed the point budget")
         # the last grid point is the largest, and computed as the grid
         # computes it
-        if not math.isfinite((n - 1) * self.step + self.t_start):
+        last = (n - 1) * self.step + self.t_start
+        if not math.isfinite(last):
             raise signals.InvalidGrid(f"the last grid point overflows: "
                                       f"{n} points of step {self.step!r} "
                                       f"from {self.t_start!r}")
+        # a step below the spacing of doubles at the larger end, or equal
+        # to it from a start off its multiples, rounds two points to one
+        spacing = math.ulp(max(abs(self.t_start), abs(last)))
+        if self.step < spacing or (self.step == spacing
+                                   and math.fmod(self.t_start, spacing)):
+            raise signals.InvalidGrid(f"step {self.step!r} would repeat a "
+                                      f"grid point: doubles from "
+                                      f"{self.t_start!r} to {last!r} are up "
+                                      f"to {spacing!r} apart")
 
 
 def _grid_size(t_start, t_end, step):

@@ -240,8 +240,8 @@ def require_fine_grid(s):
 def decompose_quadrature(psi_s):
     """Split the band-pass wavelet into baseband in-phase/quadrature parts.
 
-    The mixer halves the baseband amplitude, so the product is doubled
-    before filtering; reconstruct_quadrature is then unit-gain.  The
+    The mixer halves the baseband amplitude, so the low-pass gain is
+    doubled (exactly); reconstruct_quadrature is then unit-gain.  The
     components are two real low-passes, s_c = LP[2 psi cos w0 t] and
     s_s = LP[2 psi sin w0 t], at the true grid abscissas, where LP keeps
     the DFT bins at or below CUTOFF.  They share one kernel and its gain.
@@ -254,17 +254,15 @@ def decompose_quadrature(psi_s):
     # at once.
     m = _fast_size(2 * n - 1)
     top = _cutoff_bin(psi_s)
-    gain = np.fft.rfft(_wrapped(_lowpass_kernel(n, top), m)).real.copy()
+    gain = 2.0 * np.fft.rfft(_wrapped(_lowpass_kernel(n, top), m)).real
     angle = psi_s.times
     angle *= CARRIER
     mixed = np.cos(angle)
     mixed *= psi_s.samples
-    mixed *= 2.0
     s_c = psi_s.replace_samples(_lowpass(mixed, gain, m))
     del mixed
     mixed = np.sin(angle, out=angle)
     mixed *= psi_s.samples
-    mixed *= 2.0
     return s_c, psi_s.replace_samples(_lowpass(mixed, gain, m))
 
 

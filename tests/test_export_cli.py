@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -74,6 +75,40 @@ class TestExportRequest:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert not out.exists()
+
+    # rounding t_start + i * step to doubles would give two rows one
+    # abscissa: a step below the spacing at the larger end (1e16 is twice,
+    # 1.0000000000000004e16 three times), or equal to it from a start off
+    # its multiples (2**53 - 1 + 2i ties, and ties go to even)
+    @pytest.mark.parametrize("start, end, step", [
+        (1e16, 1.000000000000001e16, 1.0),
+        (-1.000000000000001e16, -1e16, 1.0),
+        (2.0 ** 53 - 1, 2.0 ** 53 + 9, 2.0)],
+        ids=["below", "below_negative", "equal_off_multiples"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rejects_step_that_repeats_a_point(self, tmp_path, capsys, start,
+                                               end, step, fmt):
+        grid = signals._grid(start, step, export._grid_size(start, end, step))
+        assert np.any(np.diff(grid) == 0)
+        out = tmp_path / f"rep.{fmt}"
+        assert main(["sample", "--function", "phi", "--format", fmt,
+                     f"--from={start!r}", f"--to={end!r}", f"--step={step!r}",
+                     "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            f"error: step {step!r} would repeat a grid point")
+        assert not out.exists()
+
+    # on the spacing's multiples every point is a double: nothing rounds
+    @pytest.mark.parametrize("start, end, step", [
+        (1e16, 1.00000000000001e16, 2.0), (-5e-324, 5e-324, 5e-324),
+        (0.0, 1e-310, 1e-312)])
+    def test_grid_on_multiples_of_the_spacing_is_exact(self, start, end,
+                                                       step):
+        ExportRequest("phi", start, end, step)
+        assert np.all(np.diff(export.grid_points(start, end, step)) == step)
 
     def test_point_budget_counts_both_ends(self):
         # validates requests only: no grid of 1e7 points is allocated
@@ -475,6 +510,7 @@ class TestSampleArgvProperty:
     @example(case=("s_c", "csv", 0.0, 1e-310, 1e-312))
     @example(case=("phi", "csv", 0.0, 1.0, math.inf))
     @example(case=("phi", "csv", 1e300, 2e300, 2.5e299))
+    @example(case=("phi", "json", 1e16, 1.000000000000001e16, 1.0))
     # 3|w| overflows past ~6e307, where both spectra are 0
     @example(case=("phi_spectrum", "csv", 1.7958954417205e308,
                    1.7976931348623157e308, 1.7976931348623157e304))
@@ -493,8 +529,10 @@ class TestSampleArgvProperty:
         assert code in (0, 2)
         if code != 0:
             return
-        rows = len(export.grid_points(start, end, step))
+        grid = export.grid_points(start, end, step)
+        rows = len(grid)
         assert rows <= 2000
+        assert np.all(np.diff(grid) > 0)
         if fmt == "csv":
             header, axis, values = export.parse_csv(out.read_text())
             assert header == f"{export.SERIES[function][0]},{function}"
@@ -615,6 +653,60 @@ class TestCli:
             assert main(command + [spelling, path]) == 0
             assert contents(tmp_path / path) == contents(tmp_path / "-equals")
 
+    # every long option takes a spaced value that starts with "-", under
+    # its full name and any abbreviation argparse resolves, as it takes the
+    # "=" form: the same exit code, output and files
+    @pytest.mark.parametrize("command, option, abbreviation, value, code", [
+        ("sample", "--function", "--fu", "-phi", 2),
+        ("sample", "--from", "--fr", "-1e-9", 0),
+        ("sample", "--to", "--t", "-1e-9", 0),
+        ("sample", "--step", "--st", "-1e-3", 2),
+        ("sample", "--format", "--fo", "-json", 2),
+        ("sample", "--output", "--o", "-x.csv", 0),
+        ("verify", "--output", "--o", "-r.json", 1),
+        ("decompose", "--output", "--o", "-dec", 0)],
+        ids=["function", "from", "to", "step", "format", "sample_output",
+             "verify_output", "decompose_output"])
+    def test_spaced_dash_value_is_the_equals_form(
+            self, tmp_path, monkeypatch, capsys, command, option,
+            abbreviation, value, code):
+        def run(argv, where):
+            where.mkdir()
+            monkeypatch.chdir(where)
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+            files = {p.relative_to(where): re.sub(
+                         rb'"timestamp": "[^"]*"', b"", p.read_bytes())
+                     for p in where.rglob("*") if p.is_file()}
+            return status, capsys.readouterr(), files
+
+        argv = [command]
+        if command == "sample":
+            argv += ["--function", "phi", "--from=-2e-9", "--to", "2e-9",
+                     "--step", "1e-9"]
+        for spelling in (option, abbreviation):
+            spaced = run(argv + [spelling, value], tmp_path / f"{spelling}_")
+            equals = run(argv + [f"{spelling}={value}"],
+                         tmp_path / f"{spelling}=")
+            assert spaced[0] == code
+            assert spaced == equals
+
+    # --help and its abbreviations take no value: "-x" stays an argument
+    @pytest.mark.parametrize("spelling", ["--help", "--he"])
+    def test_help_takes_no_value(self, capsys, spelling):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["sample", spelling, "-x"])
+        assert exc_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: meyerwave sample")
+
+    # nor does an option that holds its value after "="
+    def test_equals_form_takes_no_second_value(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        self.assert_unknown_option(capsys, ["verify", f"--output={out}", "-x"],
+                                   out)
+
     @pytest.mark.parametrize("step", ["-1e-3", "-1", "-inf"])
     def test_negative_step_is_the_step_error(self, capsys, step):
         assert main(["sample", "--function", "phi", "--from", "0",
@@ -675,10 +767,13 @@ class TestCli:
         ["verify", "--tolerance-scale", "1e4"],
         ["verify", "--grid-span", "4"],
         ["decompose", "--grid-span", "4"],
-        ["decompose", "--format", "json"]],
+        ["decompose", "--format", "json"],
+        ["verify", "--grid-dt", "-h"],
+        ["decompose", "--grid-span", "-h"]],
         ids=["sample_cutoff", "verify_cutoff", "decompose_cutoff",
              "verify_tolerance_scale", "verify_grid_span",
-             "decompose_grid_span", "decompose_format"])
+             "decompose_grid_span", "decompose_format", "verify_grid_dt_h",
+             "decompose_grid_span_h"])
     def test_removed_option_is_usage_error(self, tmp_path, capsys, argv):
         self.assert_unknown_option(capsys, argv, tmp_path / "out")
 
