@@ -246,12 +246,16 @@ def _signal_checks(sig):
 
     # Round-off: an m-point transform errs by at most t eta in the 2-norm,
     # relative, with t = 13 >= log2 m and eta < 6.7u (Higham, Accuracy and
-    # Stability of Numerical Algorithms, 2nd ed., 2002, Thm 24.2), so a
-    # convolution of x with a kernel wrapped into g errs by at most
-    # ((2 t eta + 8u) |g|_1 + t eta sqrt(m) |g|_2) |x|_2.  On-bin tones on
-    # the signal grid less its last point, where the carrier is a bin too,
-    # come back exactly, to 3.5e-11 (|g|_1 = 5.3, sqrt(m) |g|_2 = 16.0,
-    # |x|_2 <= 3 sqrt(n)) plus 1.5e-12 from carrier angles 32 pi u off.
+    # Stability of Numerical Algorithms, 2nd ed., 2002, Thm 24.2).
+    # decompose_quadrature convolves x = 2 psi with the even and odd parts
+    # g_e, g_o of the modulated kernel, whose gains are the real and
+    # imaginary parts of one transform of g = g_e + g_o, so each convolution
+    # errs by at most ((2 t eta + 8u) |g_e or g_o|_1 + t eta sqrt(m) |g|_2)
+    # |x|_2, and s_c and s_s, each a sum of two carrier products, by the sum
+    # of both.  On-bin tones on the signal grid less its last point, where
+    # the carrier is a bin too, come back exactly, to 6.1e-11 (|g_e|_1 =
+    # 3.2, |g_o|_1 = 3.7, sqrt(m) |g|_2 = 16.0, |x|_2 <= 3 sqrt(n)) plus
+    # 1.5e-12 from the tones' carrier angles 32 pi u off.
     tone_n = SIGNAL_POINTS - 1
     k = np.arange(tone_n)
     a = np.cos(2.0 * np.pi * 3.0 * k / tone_n)

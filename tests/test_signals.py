@@ -153,6 +153,17 @@ class TestDecomposeMatchesTwoLowpasses:
         for out in (s_c, s_s):
             assert (out.t0, out.dt) == (sig.t0, sig.dt)
 
+    # 64 times as many points: the transforms' round-off bound grows past
+    # 1e-15 (log2 m > 18)
+    def test_long_grid_within_fft_error_bound(self):
+        n = 131_073
+        sig = sample(closed_form.psi, -1024.0 + 0.37 * self.dt, self.dt, n)
+        s_c, s_s = decompose_quadrature(sig)
+        ref_c, ref_s = reference_decompose(sig, np.longdouble)
+        bound = fft_error_bound(n, 2.0 * np.max(np.abs(sig.samples)))
+        assert np.max(np.abs(s_c.samples - ref_c)) <= bound
+        assert np.max(np.abs(s_s.samples - ref_s)) <= bound
+
 
 def reference_hilbert(s, dtype=float):
     """The Hilbert transform out of place, a new array at each step, with
@@ -189,6 +200,30 @@ def fft_error_bound(n, x_inf):
     log2m = np.log2(signals._fast_size(2 * n - 1))
     eta = U + 4 * U / (1 - 4 * U) * (np.sqrt(2.0) + U)
     return 3 * log2m * eta / (1 - log2m * eta) * x_inf
+
+
+# 2pi in long double
+TURN = 2 * np.arccos(np.longdouble(-1.0))
+
+
+class TestCarrier:
+    # every t0 + k*dt of these grids is a double, so each carrier errs by
+    # its own rounding only: a span-4096 grid with t0 off the grid k*dt,
+    # verify's 2,049-point signal grid, and one shorter than a block
+    @pytest.mark.parametrize("t0, n", [(-4096.0 + 0.37 / 64.0, 524_289),
+                                       (-16.0, 2049),
+                                       (-8.0 + 0.37 / 64.0, 1001)],
+                             ids=["span-4096", "signal-grid", "one-block"])
+    def test_no_less_accurate_than_the_direct_carrier(self, t0, n):
+        dt = 1.0 / 64.0
+        t = signals._grid(t0, dt, n)
+        turns = t.astype(np.longdouble)
+        angle = TURN * (turns - np.floor(turns))
+        direct = (np.cos(CARRIER * t), np.sin(CARRIER * t))
+        for got, old, want in zip(signals._carrier(t0, dt, n), direct,
+                                  (np.cos(angle), np.sin(angle))):
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - want)) <= np.max(np.abs(old - want))
 
 
 class TestTransformsInPlace:
@@ -237,7 +272,10 @@ class TestTransformsInPlace:
     # tracemalloc sees numpy's data buffers, not pocketfft's workspace.
     # Out of place, hilbert peaked at 3.1 and decompose_quadrature at 5.1
     # full-length complex arrays (16n bytes each) above the start; the
-    # padded real convolution holds 2.0 and 3.5.
+    # padded real convolution holds 2.0 and 3.5, the last with the carrier
+    # taken after the transforms and each output made after the spectrum
+    # it comes from (3.67 here, with the ufunc buffers of the carrier's
+    # outer products).
     @pytest.mark.parametrize("transform, arrays", [
         (hilbert, 2.5), (decompose_quadrature, 4.0)],
         ids=["hilbert", "decompose_quadrature"])
@@ -359,12 +397,27 @@ class TestHilbertCache:
             data = closed_form.psi(-8.0 + np.arange(n) / 64.0)
             sig = SampledSignal(-8.0, 1.0 / 64.0, data)
             original = data.copy()
+            assert not np.shares_memory(sig.samples, data)
             first = hilbert(sig).samples.copy()
             data[:] = 0.0
             assert np.array_equal(sig.samples, original)
             assert np.array_equal(hilbert(sig).samples, first)
             assert np.array_equal(first, hilbert(
                 SampledSignal(-8.0, 1.0 / 64.0, original)).samples)
+
+    # the transforms hand the arrays they make to their signals uncopied
+    def test_results_are_read_only_and_share_no_memory(self):
+        for n in self.sizes:
+            sig = self.wavelet_signal(n)
+            s_c, s_s = decompose_quadrature(sig)
+            results = [s_c, s_s, reconstruct_quadrature(s_c, s_s),
+                       scale_from_wavelet(sig), envelope(sig)]
+            for i, out in enumerate(results):
+                assert not out.samples.flags.writeable
+                with pytest.raises(ValueError):
+                    out.samples[0] = 1.0
+                for other in [sig] + results[:i]:
+                    assert not np.shares_memory(out.samples, other.samples)
 
     def test_cached_result_is_bit_identical_to_uncached(self):
         sig = self.wavelet_signal()
@@ -377,7 +430,8 @@ class TestHilbertCache:
             <= 2 * bound
 
     # one Hilbert computation takes two rffts, its kernel's and the
-    # samples'; decompose_quadrature takes three, one kernel for both mixers
+    # samples'; so does decompose_quadrature, whose one kernel transform
+    # holds the even and the odd gain
     def test_scale_and_envelope_share_one_forward_transform(self,
                                                             monkeypatch):
         sig = self.wavelet_signal()
@@ -393,7 +447,7 @@ class TestHilbertCache:
         envelope(sig)
         assert len(calls) == 2
         decompose_quadrature(sig)
-        assert len(calls) == 5
+        assert len(calls) == 4
 
 
 class TestDecomposition:
