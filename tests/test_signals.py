@@ -13,6 +13,10 @@ from meyerwave.signals import CARRIER, CUTOFF, MAX_GRID_DT
 from meyerwave.spectral import W_HI
 
 
+# grid lengths whose padded length m is 2n - 1, the smallest allowed
+TIGHTEST = [2, 3, 5, 8, 13, 14]
+
+
 def make_tone(freq_cycles, n=256, dt=1.0 / 32.0, kind="cos"):
     # integer number of periods across the grid for exact DFT bins
     k = np.arange(n)
@@ -119,6 +123,15 @@ class TestHilbert:
         s = SampledSignal(0.0, 0.25, (-1.0) ** np.arange(n))
         assert np.max(np.abs(hilbert(s).samples)) <= 1e-15
 
+    # at these n the padded length m is 2n - 1, the shortest workspace for
+    # n points; the grid starts a quarter period on, where psi is of order 1
+    @pytest.mark.parametrize("n", TIGHTEST)
+    def test_tightest_workspace_matches_the_reference(self, n):
+        assert signals._fast_size(2 * n - 1) == 2 * n - 1
+        sig = sample(closed_form.psi, 0.25 + 0.37 / 64.0, 1.0 / 64.0, n)
+        ref = reference_hilbert(sig, np.longdouble)
+        assert np.max(np.abs(hilbert(sig).samples - ref)) <= 1e-15
+
 
 def reference_decompose(psi_s, dtype=float):
     """Decomposition by two real low-passes, one per carrier phase, whose
@@ -142,8 +155,10 @@ class TestDecomposeMatchesTwoLowpasses:
 
     # t0 is a quarter carrier period plus a fraction of dt off the grid
     # k*dt, so a mixer that ignored t0 would be off by O(1); only an even
-    # n has a Nyquist bin, which CUTOFF masks
-    @pytest.mark.parametrize("n", [2049, 2048], ids=["odd", "even"])
+    # n has a Nyquist bin, which CUTOFF masks.  At the TIGHTEST lengths
+    # m = 2n - 1, and row 1's scratch tail [n, 2n) ends at the row's end.
+    @pytest.mark.parametrize("n", [pytest.param(2049, id="odd"),
+                                   pytest.param(2048, id="even")] + TIGHTEST)
     def test_within_1e_15(self, n):
         sig = sample(closed_form.psi, -15.75 + 0.37 * self.dt, self.dt, n)
         s_c, s_s = decompose_quadrature(sig)
@@ -271,11 +286,13 @@ class TestTransformsInPlace:
 
     # tracemalloc sees numpy's data buffers, not pocketfft's workspace.
     # Out of place, hilbert peaked at 3.1 and decompose_quadrature at 5.1
-    # full-length complex arrays (16n bytes each) above the start; the
-    # padded real convolution holds 2.0 and 3.5, the last with the carrier
-    # taken after the transforms and each output made after the spectrum
-    # it comes from (3.67 here, with the ufunc buffers of the carrier's
-    # outer products).
+    # full-length complex arrays (16n bytes each) above the start.  Each
+    # now allocates its workspace first: hilbert one of m doubles (1.0)
+    # beside the kernel's transform and then the spectrum, 2.13 here
+    # against 2.00 with fresh temporaries; decompose_quadrature two
+    # spectrum rows (2.0) beside the kernel's carrier and its outer products
+    # (1.5), then the spectrum and then the demodulation carrier, 3.67 here
+    # as before.
     @pytest.mark.parametrize("transform, arrays", [
         (hilbert, 2.5), (decompose_quadrature, 4.0)],
         ids=["hilbert", "decompose_quadrature"])
@@ -365,7 +382,8 @@ class TestKernels:
         top = np.flatnonzero(kept[:(n + 1) // 2]).max()
         lowpass_ref = np.fft.ifft(kept.astype(np.clongdouble)).real
         for got, want in [(signals._hilbert_kernel(n), hilbert_ref),
-                          (signals._lowpass_kernel(n, top), lowpass_ref)]:
+                          (signals._lowpass_kernel(np.empty(n), top),
+                           lowpass_ref)]:
             assert np.all(np.abs(got - want) <= 16.0 * U * envelope)
 
     def test_fast_size(self):
@@ -418,6 +436,19 @@ class TestHilbertCache:
                     out.samples[0] = 1.0
                 for other in [sig] + results[:i]:
                     assert not np.shares_memory(out.samples, other.samples)
+
+    # the array that owns a result's samples holds them and at most the
+    # rest of one carrier block, so no result keeps a workspace alive
+    def test_results_keep_no_workspace_alive(self):
+        for n in self.sizes + (2, 14):
+            sig = self.wavelet_signal(n)
+            s_c, s_s = decompose_quadrature(sig)
+            for out in (s_c, s_s, reconstruct_quadrature(s_c, s_s),
+                        hilbert(sig), scale_from_wavelet(sig), envelope(sig)):
+                owner = out.samples
+                while owner.base is not None:
+                    owner = owner.base
+                assert owner.nbytes <= 8 * (n + signals._CARRIER_BLOCK)
 
     def test_cached_result_is_bit_identical_to_uncached(self):
         sig = self.wavelet_signal()
