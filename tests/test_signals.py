@@ -240,6 +240,34 @@ class TestCarrier:
             assert got.shape == (n,)
             assert np.max(np.abs(got - want)) <= np.max(np.abs(old - want))
 
+    # On these grids t0 + k*dt rounds (past |t| = 16, and from t0 = -7.3),
+    # and the carrier follows block start plus offset, not the rounded
+    # point.  With dt = 1/64 each k*dt and offset j*dt is exact, and the
+    # block start and the grid point each lie within half an ulp of
+    # t0 + k*dt, so the two arguments differ by at most ulp(max|t|): at most
+    # 2*pi*ulp(max|t|) in cos and sin of 2*pi*t.  The angle addition adds,
+    # in units of u = 2**-53: 2*pi for CARRIER's rounding and 2*pi for the
+    # product's in each of the two angles CARRIER*f, |f| < 1; one for each
+    # of the four cosines and sines, taken as faithful (within an ulp, so
+    # within u, of a value below 1), times a factor of at most 1; and one
+    # each for the two products' roundings (their magnitudes sum to at most
+    # 1) and for the sum's.  Two more cover the second-order terms and the
+    # long-double reference: (8*pi + 8)*u in all.
+    @pytest.mark.parametrize("t0, n", [(-15.75 + 0.37 / 64.0, 2049),
+                                       (-7.3, 1001)],
+                             ids=["past-16", "t0-rounds"])
+    def test_within_the_grid_rounding(self, t0, n):
+        dt = 1.0 / 64.0
+        t = signals._grid(t0, dt, n)
+        turns = t.astype(np.longdouble)
+        angle = TURN * (turns - np.floor(turns))
+        u = 2.0 ** -53
+        bound = (2.0 * np.pi * np.spacing(np.max(np.abs(t)))
+                 + (8.0 * np.pi + 8.0) * u)
+        for got, want in zip(signals._carrier(t0, dt, n),
+                             (np.cos(angle), np.sin(angle))):
+            assert np.max(np.abs(got - want)) <= bound
+
 
 class TestTransformsInPlace:
     dt = 1.0 / 64.0
