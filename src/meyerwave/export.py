@@ -445,9 +445,17 @@ def _json_number(v):
     return float.__repr__(v) if math.isfinite(v) else json.dumps(v)
 
 
+def _row_count(axis, values):
+    """The number of rows, one per point: axis and values pair up."""
+    if len(axis) != len(values):
+        raise ValueError(f"{len(axis)} axis points but {len(values)} "
+                         "values")
+    return len(axis)
+
+
 def write_csv(stream, name, axis_label, axis, values):
+    n = _row_count(axis, values)
     stream.write(f"{axis_label},{name}\n")
-    n = min(len(axis), len(values))     # zip's length, as rows were paired
     rows = _ROWS
     pairs = np.empty((min(n, rows), 2))
     for i in range(0, n, rows):
@@ -458,6 +466,7 @@ def write_csv(stream, name, axis_label, axis, values):
 
 
 def write_json(stream, name, axis_label, axis, values):
+    _row_count(axis, values)
     step = float(axis[1] - axis[0]) if len(axis) > 1 else None
     header = json.dumps({
         "function": name,

@@ -10,10 +10,14 @@ from which the wavelet is reconstructed at unit gain:
 
     psi(t) = s_c(t) cos(2pi t) + s_s(t) sin(2pi t)
 
-The Hilbert-transform variant of the same idea recovers the scaling
-function directly:
+The Hilbert-transform variant of the same idea, scale_from_wavelet,
+remodulates the wavelet with its Hilbert pair:
 
-    phi(t) = psi(t) cos(2pi t) + H[psi](t) sin(2pi t)
+    psi(t) cos(2pi t) + H[psi](t) sin(2pi t)
+
+The paper equates this with the scaling function phi(t).  The identity is
+one of its known deviations: verify's scale_identity_closure measures
+2.09 against a tolerance of 1e-3 (README, "Known measured deviations").
 
 Filtering and the Hilbert transform are ideal (brick-wall) multipliers on
 the DFT bins, so results are periodic-convolution accurate: grids should
@@ -38,10 +42,7 @@ A SampledSignal holds a read-only copy of its samples and cannot be
 reassigned, so its Hilbert transform is computed at most once and cached
 on it: scale_from_wavelet and envelope of one signal share one
 convolution.  Arrays made here are handed to their results without a
-second copy.  On perfbench's decompose workload (grids of up to 524,289
-samples) this design took the median pass from 0.317 to 0.278 s and the
-resident peak from 93.4 to 92.2 MiB (ten interleaved 20 s pairs, 2-vCPU
-VM, numpy 2.4.6).
+second copy.
 
 Each transform allocates one workspace first and keeps its spectrum-sized
 intermediates in it through out=, so glibc's malloc no longer trims the
@@ -377,7 +378,9 @@ def reconstruct_quadrature(s_c, s_s):
 
 
 def scale_from_wavelet(psi_s):
-    """Recover the scaling function from the wavelet and its Hilbert pair."""
+    """psi cos 2pi t + H[psi] sin 2pi t from the wavelet's samples.  The
+    paper equates it with the scaling function; verify's
+    scale_identity_closure measures that identity false."""
     require_fine_grid(psi_s)
     return reconstruct_quadrature(psi_s, hilbert(psi_s))
 

@@ -4,10 +4,12 @@ Each row of CASES is one command line, the exit code it must end with and
 what it must leave behind.  The runner starts each in a fresh directory as
 `python -m meyerwave.cli`, which calls `cli.entry_point` as the installed
 console script does, with the directory holding the package these tests
-import first on the child's PYTHONPATH.  The other test modules compare
-values; these rows check only what a command alone can show: its exit
-code, the files it writes and their line counts, its stderr and its peak
-memory.
+import first on the child's PYTHONPATH.  Only the rows that need a process
+are here: one per exit path (1, 0, and 2 through argparse and through
+signals.InvalidGrid), a grid with no in-process twin, and the long
+samples, whose peak memory is the child's own.  Every other argv that
+exits 2 is a row of test_export_cli.USAGE_ERRORS, run in this process
+through `cli.entry_point`.
 """
 
 import os
@@ -55,58 +57,21 @@ class Case(NamedTuple):
     max_rss_mib: Optional[float] = None
 
 
-def decomposed(directory):
-    # four CSVs, each a header and the 2,049 rows of the signal grid
-    names = ("s_c", "s_s", "reconstruction", "reconstruction_error")
-    return {directory: 4,
-            **{f"{directory}/meyer_{name}.csv": 2050 for name in names}}
-
-
 # an unknown option is argparse's two stderr lines, usage and error; a grid
 # that signals.InvalidGrid or export.ExportRequest rejects is one
 CASES = [
     # the four documented deviations fail: exit 1, a report of 28 checks,
     # six lines each
     Case("verify --output r.json", 1, {"r.json": 175}, 0),
-    # the signal grid is fixed, so --grid-dt is a removed option
-    Case("verify --grid-dt 0.5 --output c.json", 2, {}, 2),
-    # the low-pass cutoff is fixed and every tolerance nominal
-    Case("verify --tolerance-scale 1e4 --output s.json", 2, {}, 2),
-    # decompose takes only --output
-    Case("decompose --grid-span 4 --output dec2", 2, {}, 2),
     # after a removed option, -h is its value, not a request for help
     Case("verify --grid-dt -h", 2, {}, 2),
     # a step of 3/8 or more cannot represent the 8pi/3 band edge
     Case("sample --function envelope --from 0 --to 1 --step 0.5 "
          "--output e.csv", 2, {}, 1),
-    # a range whose last grid point overflows is rejected before any grid
-    # is built
-    Case("sample --function psi --from 1.7876931348623208e+308 "
-         "--to 1.7976931348623157e308 --step 1e306 --output ovf.csv",
-         2, {}, 1),
-    # a step below the spacing of doubles at 1e16 (2) would repeat
-    # abscissas
-    Case("sample --function phi --from 1e16 --to 1.000000000000001e16 "
-         "--step 1 --output rep.csv", 2, {}, 1),
-    Case("decompose --output dec", 0, decomposed("dec"), 0),
-    # an abbreviation of any command's option takes a value that starts
-    # with "-"
-    Case("decompose --o -dec", 0, decomposed("-dec"), 0),
-    Case("sample --function phi_oracle --from -30 --to 30 --step 0.5 "
-         "--output o.csv", 0, {"o.csv": 122}, 0),
-    # a negative bound with an exponent is a value, not an option: a header
-    # and 21 rows
-    Case("sample --function phi --from -1e-9 --to 1e-9 --step 1e-10 "
-         "--output neg.csv", 0, {"neg.csv": 22}, 0),
-    # so is one after an abbreviation that names one option
-    Case("sample --function phi --fro -1e-9 --t 1e-9 --st 1e-10 "
-         "--output abbr.csv", 0, {"abbr.csv": 22}, 0),
-    # and an output path that starts with "-": a header and 3 rows
-    Case("sample --function phi --from 0 --to 1 --step 0.5 "
-         "--output -dash.csv", 0, {"-dash.csv": 4}, 0),
-    # a subnormal step leaves the low-pass DC alone: a header and 101 rows
-    Case("sample --function s_c --from 0 --to 1e-310 --step 1e-312 "
-         "--output sub.csv", 0, {"sub.csv": 102}, 0),
+    # four CSVs, each a header and the 2,049 rows of the signal grid
+    Case("decompose --output dec", 0, {"dec": 4, **{
+        f"dec/meyer_{name}.csv": 2050 for name in (
+            "s_c", "s_s", "reconstruction", "reconstruction_error")}}, 0),
     # 2,049 = 3 * 683 points: the zero-padded convolution on a length numpy
     # would transform by Bluestein's algorithm
     Case("sample --function s_c --from -16 --to 16 --step 0.015625 "

@@ -15,7 +15,6 @@ from meyerwave import closed_form, export, quadrature, signals, verify
 from meyerwave.cli import entry_point, main
 from meyerwave.export import ExportRequest, evaluate_series
 from meyerwave.signals import InvalidGrid
-from meyerwave.spectral import W_MID
 from meyerwave.verify import ORACLE_COMPARE_TOL
 
 
@@ -44,62 +43,19 @@ class TestExportRequest:
         with pytest.raises(InvalidGrid):
             ExportRequest("phi", 0.0, 1e6, 1e-6)
 
-    # named before the range and budget checks, which would misname them
-    @pytest.mark.parametrize("start, end, bad", [
-        ("nan", "1", "nan"), ("-inf", "1", "-inf"),
-        ("0", "nan", "nan"), ("0", "inf", "inf")],
-        ids=["start_nan", "start_minus_inf", "end_nan", "end_inf"])
-    def test_rejects_non_finite_bounds(self, capsys, start, end, bad):
-        assert main(["sample", "--function", "phi", f"--from={start}",
-                     f"--to={end}", "--step", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            f"error: start and end must be finite, got {bad}"]
-
-    def test_rejects_overflowing_last_point(self, tmp_path, capsys):
-        # both ends are finite, but start + step, the second and last grid
-        # point, is past the largest double: no grid is built
-        start, end = 1.7876931348623208e308, 1.7976931348623157e308
-        step = 1e306
-        with pytest.raises(InvalidGrid, match="overflows"):
-            ExportRequest("psi", start, end, step)
-        out = tmp_path / "far.csv"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["sample", "--function", "psi", f"--from={start!r}",
-                         f"--to={end!r}", f"--step={step!r}",
-                         "--output", str(out)]) == 2
-        assert not caught, [str(w.message) for w in caught]
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert not out.exists()
-
     # rounding t_start + i * step to doubles would give two rows one
     # abscissa: a step below the spacing at the larger end (1e16 is twice,
     # 1.0000000000000004e16 three times), or equal to it from a start off
-    # its multiples (2**53 - 1 + 2i ties, and ties go to even)
+    # its multiples (2**53 - 1 + 2i ties, and ties go to even); USAGE_ERRORS
+    # holds the requests, which exit 2
     @pytest.mark.parametrize("start, end, step", [
         (1e16, 1.000000000000001e16, 1.0),
         (-1.000000000000001e16, -1e16, 1.0),
         (2.0 ** 53 - 1, 2.0 ** 53 + 9, 2.0)],
         ids=["below", "below_negative", "equal_off_multiples"])
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_rejects_step_that_repeats_a_point(self, tmp_path, capsys, start,
-                                               end, step, fmt):
+    def test_rounded_grid_repeats_a_point(self, start, end, step):
         grid = signals._grid(start, step, export._grid_size(start, end, step))
         assert np.any(np.diff(grid) == 0)
-        out = tmp_path / f"rep.{fmt}"
-        assert main(["sample", "--function", "phi", "--format", fmt,
-                     f"--from={start!r}", f"--to={end!r}", f"--step={step!r}",
-                     "--output", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(
-            f"error: step {step!r} would repeat a grid point")
-        assert not out.exists()
 
     # on the spacing's multiples every point is a double: nothing rounds
     @pytest.mark.parametrize("start, end, step", [
@@ -124,20 +80,6 @@ class TestSeries:
         _, axis, values = evaluate_series(ExportRequest("phi", -8.0, 8.0, 0.01))
         assert len(axis) == 1601
         assert len(values) == 1601
-
-    def test_spectrum_support(self):
-        label, w, v = evaluate_series(
-            ExportRequest("phi_spectrum", 0.0, W_MID + 1.0, 0.01))
-        assert label == "w"
-        w, v = np.asarray(w), np.asarray(v)
-        assert np.all(v[w > W_MID + 1e-9] == 0.0)
-
-    def test_wavelet_band_centre(self):
-        _, w, v = map(np.asarray, evaluate_series(
-            ExportRequest("psi_spectrum_magnitude", 0.0, 10.0, 0.001)))
-        support = w[v > 0.0]
-        centre = 0.5 * (support[0] + support[-1])
-        assert centre == pytest.approx(5.0 * np.pi / 3.0, abs=0.01)
 
     def test_function_names_and_order(self):
         # the order of FUNCTIONS is the order of the CLI's choices
@@ -240,6 +182,14 @@ class TestWritersMatchReference:
         t = export.grid_points(-20.0, 20.0, 40.0 / max(n - 1, 1))[:n]
         v = closed_form.psi(t)
         assert_same_bytes(export.write_json, reference_write_json, t, v)
+
+    # a row pairs a point with its value: unequal columns write nothing
+    def test_rejects_unequal_columns(self):
+        for writer in (export.write_csv, export.write_json):
+            buf = io.StringIO()
+            with pytest.raises(ValueError, match="5 axis points but 3 values"):
+                writer(buf, "psi", "t", np.arange(5.0), np.arange(3.0))
+            assert buf.getvalue() == ""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.lists(st.tuples(finite_or_extreme, finite_or_extreme),
@@ -424,7 +374,8 @@ class TestJsonDigits:
     @staticmethod
     def items(x):
         """The items of the "t" array that write_json writes for x."""
-        text = written(export.write_json, np.asarray(x, dtype=float), [0.0])
+        x = np.asarray(x, dtype=float)
+        text = written(export.write_json, x, np.zeros_like(x))
         return text.split('"t": [\n    ')[1].split("\n  ]")[0].split(
             ",\n    ")
 
@@ -466,7 +417,8 @@ class TestJsonDigits:
         p = np.array([float(f"1e{e}") for e in range(-12, 19)])
         near = np.concatenate([p, np.nextafter(p, 0.0),
                                np.nextafter(p, np.inf)])
-        self.assert_json_bytes(np.concatenate([near, -near, values]))
+        self.assert_json_bytes(np.concatenate([near, -near, values,
+                                               np.negative(values)]))
 
     def test_zero_and_the_ends_of_the_vectorized_range(self):
         # 1e-11 and 1e17 themselves go to the fallback, their inner
@@ -543,6 +495,108 @@ class TestSampleArgvProperty:
             assert len(payload["t"]) == len(payload["value"]) == rows
 
 
+# Every argv that must exit 2, with a regular expression that the last
+# line of its stderr must fully match: one "error: " line for a grid that
+# signals.InvalidGrid rejects (export.ExportRequest's included) or an
+# output that cannot be written, argparse's usage and error line for an
+# unknown or ambiguous option.  Paths are relative to the directory each
+# row runs in, which holds one empty file, `file`.  The grid and removed
+# options, which no command has, are TestCli's three *_is_usage_error
+# tests, through the same usage_error check.
+FINITE = r"error: start and end must be finite, got "
+STEP = r"error: step must be positive and finite, got "
+REPEATS = (r"error: step {} would repeat a grid point: doubles from {} "
+           r"are up to 2\.0 apart")
+COARSE = r"error: dt={} cannot represent the 8pi/3 band edge; need dt < 3/8"
+NOT_A_DIRECTORY = r"error: \[Errno \d+\] Not a directory: 'file/out'"
+UNKNOWN = r"meyerwave: error: unrecognized arguments: "
+USAGE_ERRORS = [
+    # a NaN or infinite bound is named before the range and budget
+    # checks, which would misname it
+    ("sample --function phi --from=nan --to=1 --step 1", FINITE + "nan"),
+    ("sample --function phi --from=-inf --to=1 --step 1", FINITE + "-inf"),
+    ("sample --function phi --from=0 --to=nan --step 1", FINITE + "nan"),
+    ("sample --function phi --from=0 --to=inf --step 1", FINITE + "inf"),
+    ("sample --function phi --from 2 --to 1 --step 0.1",
+     r"error: start must be below end"),
+    ("sample --function phi --from 0 --to 1 --step -1e-3", STEP + r"-0\.001"),
+    ("sample --function phi --from 0 --to 1 --step -1", STEP + r"-1\.0"),
+    ("sample --function phi --from 0 --to 1 --step -inf", STEP + "-inf"),
+    # both ends are finite, but start + step, the second and last grid
+    # point, is past the largest double: no grid is built
+    ("sample --function psi --from 1.7876931348623208e+308 "
+     "--to 1.7976931348623157e308 --step 1e306 --output ovf.csv",
+     r"error: the last grid point overflows: 2 points of step 1e\+306 "
+     r"from 1\.7876931348623208e\+308"),
+    # the grids of test_rounded_grid_repeats_a_point, in either format
+    *((f"sample --function phi --format {fmt} --from={start} --to={end} "
+       f"--step={step} --output rep.{fmt}",
+       REPEATS.format(re.escape(step), re.escape(doubles)))
+      for fmt in ("csv", "json")
+      for start, end, step, doubles in (
+          ("1e+16", "1.000000000000001e+16", "1.0",
+           "1e+16 to 1.000000000000001e+16"),
+          ("-1.000000000000001e+16", "-1e+16", "1.0",
+           "-1.000000000000001e+16 to -1e+16"),
+          ("9007199254740991.0", "9007199254741001.0", "2.0",
+           "9007199254740991.0 to 9007199254741000.0"))),
+    # every psi-sampled series would alias at dt >= 3/8
+    *((f"sample --function {name} --from -8 --to 8 --step {step} "
+       "--output x.csv", COARSE.format(dt))
+      for name in ("s_c", "s_s", "envelope")
+      for step, dt in (("0.5", r"0\.5"), ("1", r"1\.0"))),
+    # an --output under a file
+    ("sample --function phi --from 0 --to 1 --step 0.5 --output file/out",
+     NOT_A_DIRECTORY),
+    ("verify --output file/out", NOT_A_DIRECTORY),
+    ("decompose --output file/out", NOT_A_DIRECTORY),
+    ("sample --function bogus --from 0 --to 1 --step 0.1",
+     r"meyerwave sample: error: argument --function: invalid choice: "
+     r"'bogus' \(choose from .*\)"),
+    # --f could be --function, --from or --format
+    ("sample --function phi --f -1e-09 --to 1e-09 --step 1e-10 "
+     "--output f.csv",
+     r"meyerwave sample: error: ambiguous option: --f=-1e-09 could match "
+     r"--function, --from, --format"),
+    # an option that holds its value after "=" takes no second one
+    ("verify --output=out -x --output out", UNKNOWN + r"-x"),
+]
+
+
+# the console script's path: entry_point ends in sys.exit
+@pytest.fixture
+def usage_error(tmp_path, monkeypatch, capsys):
+    def check(argv, last_line):
+        (tmp_path / "file").touch()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["meyerwave", *argv.split()])
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(SystemExit) as exc_info:
+            warnings.simplefilter("always")
+            entry_point()
+        assert exc_info.value.code == 2
+        assert not caught, [str(w.message) for w in caught]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        *usage, last = captured.err.splitlines()
+        assert re.fullmatch(last_line, last), last
+        if last.startswith("error: "):
+            assert usage == []
+        else:   # the usage of the parser that failed, wrapped to the terminal
+            prog = last.split(": error: ")[0]
+            assert usage[0].startswith(f"usage: {prog} [-h]")
+            assert all(line.startswith(" ") for line in usage[1:])
+        assert {p.name: p.stat().st_size for p in tmp_path.iterdir()} == {
+            "file": 0}
+    return check
+
+
+@pytest.mark.parametrize("argv, last_line", USAGE_ERRORS,
+                         ids=[argv for argv, _ in USAGE_ERRORS])
+def test_usage_error(usage_error, argv, last_line):
+    usage_error(argv, last_line)
+
+
 class TestCli:
     def test_sample_csv(self, tmp_path):
         out = tmp_path / "phi.csv"
@@ -564,14 +618,17 @@ class TestCli:
         assert payload["t"] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
         assert payload["value"][2] == pytest.approx(4.0 / np.pi)
 
-    def test_sample_oracle(self, tmp_path):
+    def test_sample_oracle(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
-        code = main(["sample", "--function", "phi_oracle", "--from", "0",
-                     "--to", "1", "--step", "0.5", "--output", str(out)])
+        code = main(["sample", "--function", "phi_oracle", "--from", "-30",
+                     "--to", "30", "--step", "0.5", "--output", str(out)])
         assert code == 0
-        _, _, values = export.parse_csv(out.read_text())
-        assert values[0] == pytest.approx(2.0 / 3.0 + 4.0 / (3.0 * np.pi),
-                                          abs=1e-9)
+        assert capsys.readouterr() == ("", "")
+        header, axis, values = export.parse_csv(out.read_text())
+        assert header == "t,phi_oracle"
+        assert np.array_equal(axis, export.grid_points(-30.0, 30.0, 0.5))
+        assert np.max(np.abs(values - closed_form.phi(axis))) \
+            <= ORACLE_COMPARE_TOL
 
     def test_sample_json_one_point(self, tmp_path):
         out = tmp_path / "one.json"
@@ -585,77 +642,32 @@ class TestCli:
         assert payload["t"] == [0.0]
         assert payload["value"] == [closed_form.phi(0.0)]
 
-    def test_usage_error_exit_code(self, capsys):
-        assert main(["sample", "--function", "phi", "--from", "2",
-                     "--to", "1", "--step", "0.1"]) == 2
-
     # argparse takes a token that starts with "-" for an option unless it
-    # reads like -2 or -.5; main joins such a value to its option with "="
+    # reads like -2 or -.5; main joins such a value to its option, or to an
+    # abbreviation that names one option, with "="
     @pytest.mark.parametrize("start, end, step", [
         (-1e-09, 1e-09, 1e-10), (-5e-324, 5e-324, 5e-324),
         (-1.7976931348623157e+308, -1e-09, 1e308), (-1e308, -1e307, 1e307)])
-    @pytest.mark.parametrize("spaced", [True, False], ids=["spaced", "equals"])
-    def test_negative_bounds_with_exponents(self, tmp_path, start, end, step,
-                                            spaced):
+    @pytest.mark.parametrize("spelling", ["spaced", "equals", "abbreviated"])
+    def test_negative_bounds_with_exponents(self, tmp_path, capsys, start,
+                                            end, step, spelling):
         out = tmp_path / "neg.csv"
         argv = ["sample", "--function", "phi", "--output", str(out)]
-        for option, value in (("--from", start), ("--to", end),
-                              ("--step", step)):
-            argv += ([option, repr(value)] if spaced
-                     else [f"{option}={value!r}"])
+        for option, abbreviation, value in (("--from", "--fro", start),
+                                            ("--to", "--t", end),
+                                            ("--step", "--st", step)):
+            argv += {"spaced": [option, repr(value)],
+                     "equals": [f"{option}={value!r}"],
+                     "abbreviated": [abbreviation, repr(value)]}[spelling]
         assert main(argv) == 0
+        assert capsys.readouterr() == ("", "")
         _, axis, _ = export.parse_csv(out.read_text())
         assert np.array_equal(axis, export.grid_points(start, end, step))
 
-    # main joins a value to each abbreviation that argparse resolves to one
-    # option; --f could be --function, --from or --format
-    @pytest.mark.parametrize("abbreviation, option", [
-        ("--fr", "--from"), ("--fro", "--from"), ("--t", "--to"),
-        ("--st", "--step")])
-    def test_abbreviated_options_take_negative_values(self, tmp_path, capsys,
-                                                      abbreviation, option):
-        def argv(spelled, out):
-            argv = ["sample", "--function", "phi", "--output", str(out)]
-            for name, value in (("--from", "-2e-09"), ("--to", "-1e-09"),
-                                ("--step", "1e-10")):
-                argv += [spelled if name == option else name, value]
-            return argv
-
-        assert main(argv(abbreviation, tmp_path / "abbr.csv")) == 0
-        assert main(argv(option, tmp_path / "full.csv")) == 0
-        assert (tmp_path / "abbr.csv").read_bytes() \
-            == (tmp_path / "full.csv").read_bytes()
-        with pytest.raises(SystemExit) as exc_info:
-            main(["sample", "--function", "phi", "--f", "-1e-09",
-                  "--to", "1e-09", "--step", "1e-10",
-                  "--output", str(tmp_path / "f.csv")])
-        assert exc_info.value.code == 2
-        assert "ambiguous option: --f" in capsys.readouterr().err
-        assert not (tmp_path / "f.csv").exists()
-
-    # so it does to a path that starts with "-", under the option's full
-    # name or an abbreviation
-    @pytest.mark.parametrize("command", [
-        ["sample", "--function", "phi", "--from", "0", "--to", "1",
-         "--step", "0.5"],
-        ["decompose"]], ids=["sample", "decompose"])
-    def test_output_path_starting_with_dash(self, tmp_path, monkeypatch,
-                                            capsys, command):
-        def contents(path):
-            if path.is_dir():
-                return {p.name: p.read_bytes() for p in path.iterdir()}
-            return path.read_bytes()
-
-        monkeypatch.chdir(tmp_path)
-        assert main(command + ["--output=-equals"]) == 0
-        for spelling in ("--output", "--out"):
-            path = spelling[1:] + ".out"
-            assert main(command + [spelling, path]) == 0
-            assert contents(tmp_path / path) == contents(tmp_path / "-equals")
-
     # every long option takes a spaced value that starts with "-", under
     # its full name and any abbreviation argparse resolves, as it takes the
-    # "=" form: the same exit code, output and files
+    # "=" form: the same exit code, output and files, and an output path
+    # that starts with "-" gets the files that a plain one does
     @pytest.mark.parametrize("command, option, abbreviation, value, code", [
         ("sample", "--function", "--fu", "-phi", 2),
         ("sample", "--from", "--fr", "-1e-9", 0),
@@ -677,7 +689,7 @@ class TestCli:
                 status = main(argv)
             except SystemExit as exc:
                 status = exc.code
-            files = {p.relative_to(where): re.sub(
+            files = {str(p.relative_to(where)): re.sub(
                          rb'"timestamp": "[^"]*"', b"", p.read_bytes())
                      for p in where.rglob("*") if p.is_file()}
             return status, capsys.readouterr(), files
@@ -691,7 +703,52 @@ class TestCli:
             equals = run(argv + [f"{spelling}={value}"],
                          tmp_path / f"{spelling}=")
             assert spaced[0] == code
+            assert (spaced[1].err == "") == (code != 2)
             assert spaced == equals
+        plain = (run(argv + [option, value[1:]], tmp_path / "plain")[2]
+                 if option == "--output" else {})
+        assert spaced[2] == {"-" + name: data for name, data in plain.items()}
+
+    # The signal grid of verify and decompose is fixed, so no argv can ask
+    # for a grid too coarse or invalid: each grid option is unknown, never
+    # a failed check.
+    @pytest.mark.parametrize("argv", ["decompose --grid-dt 0.5 --output out",
+                                      "verify --grid-dt 0.5 --output c.json"],
+                             ids=["decompose", "verify"])
+    def test_coarse_grid_is_usage_error(self, usage_error, argv):
+        usage_error(argv, UNKNOWN + r"--grid-dt 0\.5")
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    @pytest.mark.parametrize("grid, shown", [
+        ("--grid-dt 0", "--grid-dt 0"), ("--grid-dt nan", "--grid-dt nan"),
+        ("--grid-span inf", "--grid-span inf"),
+        ("--grid-dt -0.5", r"--grid-dt=-0\.5"),
+        ("--grid-dt 1e-9", "--grid-dt 1e-9")],
+        ids=["dt_zero", "dt_nan", "span_inf", "dt_negative", "over_budget"])
+    def test_bad_grid_is_usage_error(self, usage_error, command, grid, shown):
+        usage_error(f"{command} {grid} --output out", UNKNOWN + shown)
+
+    # Nor is there a low-pass cutoff, a tolerance scale or a decompose
+    # format.  An unknown option takes a value that starts with "-" too: -h
+    # is no request for help.
+    @pytest.mark.parametrize("argv, shown", [
+        ("sample --function s_c --from -4 --to 4 --step 0.0625 --cutoff 6 "
+         "--output out", "--cutoff 6"),
+        ("verify --cutoff 6 --output out", "--cutoff 6"),
+        ("decompose --cutoff 6 --output out", "--cutoff 6"),
+        ("verify --tolerance-scale 1e4 --output s.json",
+         "--tolerance-scale 1e4"),
+        ("verify --grid-span 4 --output out", "--grid-span 4"),
+        ("decompose --grid-span 4 --output dec2", "--grid-span 4"),
+        ("decompose --format json --output out", "--format json"),
+        ("verify --grid-dt -h --output out", "--grid-dt=-h"),
+        ("decompose --grid-span -h --output out", "--grid-span=-h")],
+        ids=["sample_cutoff", "verify_cutoff", "decompose_cutoff",
+             "verify_tolerance_scale", "verify_grid_span",
+             "decompose_grid_span", "decompose_format", "verify_grid_dt_h",
+             "decompose_grid_span_h"])
+    def test_removed_option_is_usage_error(self, usage_error, argv, shown):
+        usage_error(argv, UNKNOWN + shown)
 
     # --help and its abbreviations take no value: "-x" stays an argument
     @pytest.mark.parametrize("spelling", ["--help", "--he"])
@@ -700,82 +757,6 @@ class TestCli:
             main(["sample", spelling, "-x"])
         assert exc_info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: meyerwave sample")
-
-    # nor does an option that holds its value after "="
-    def test_equals_form_takes_no_second_value(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        self.assert_unknown_option(capsys, ["verify", f"--output={out}", "-x"],
-                                   out)
-
-    @pytest.mark.parametrize("step", ["-1e-3", "-1", "-inf"])
-    def test_negative_step_is_the_step_error(self, capsys, step):
-        assert main(["sample", "--function", "phi", "--from", "0",
-                     "--to", "1", "--step", step]) == 2
-        assert capsys.readouterr().err == (
-            f"error: step must be positive and finite, got {float(step)!r}\n")
-
-    def test_unknown_function_is_argparse_error(self):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["sample", "--function", "bogus", "--from", "0",
-                  "--to", "1", "--step", "0.1"])
-        assert exc_info.value.code == 2
-
-    def test_coarse_signal_grid_is_usage_error(self, tmp_path):
-        # every psi-sampled series would alias above dt = 3/8
-        for name in ("s_c", "s_s", "envelope"):
-            for step in ("0.5", "1"):
-                code = main(["sample", "--function", name, "--from", "-8",
-                             "--to", "8", "--step", step,
-                             "--output", str(tmp_path / "x.csv")])
-                assert code == 2, (name, step)
-
-    @staticmethod
-    def assert_unknown_option(capsys, argv, out):
-        """argparse rejects argv before anything runs: exit 2, nothing on
-        stdout and no output."""
-        with pytest.raises(SystemExit) as exc_info:
-            main(argv + ["--output", str(out)])
-        assert exc_info.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "unrecognized arguments" in captured.err
-        assert not out.exists()
-
-    # The signal grid of verify and decompose is fixed, so no argv can ask
-    # for a grid too coarse or invalid: each grid option is unknown, never
-    # a failed check.
-    @pytest.mark.parametrize("command", ["decompose", "verify"])
-    def test_coarse_grid_is_usage_error(self, tmp_path, capsys, command):
-        self.assert_unknown_option(capsys, [command, "--grid-dt", "0.5"],
-                                   tmp_path / "out")
-
-    @pytest.mark.parametrize("command", ["decompose", "verify"])
-    @pytest.mark.parametrize("grid", [
-        ["--grid-dt", "0"], ["--grid-dt", "nan"], ["--grid-span", "inf"],
-        ["--grid-dt", "-0.5"], ["--grid-dt", "1e-9"]],
-        ids=["dt_zero", "dt_nan", "span_inf", "dt_negative", "over_budget"])
-    def test_bad_grid_is_usage_error(self, tmp_path, capsys, command, grid):
-        self.assert_unknown_option(capsys, [command] + grid, tmp_path / "out")
-
-    # the low-pass cutoff, the signal grid and the decompose format are
-    # fixed and every tolerance nominal: no such option exists
-    @pytest.mark.parametrize("argv", [
-        ["sample", "--function", "s_c", "--from", "-4", "--to", "4",
-         "--step", "0.0625", "--cutoff", "6"],
-        ["verify", "--cutoff", "6"],
-        ["decompose", "--cutoff", "6"],
-        ["verify", "--tolerance-scale", "1e4"],
-        ["verify", "--grid-span", "4"],
-        ["decompose", "--grid-span", "4"],
-        ["decompose", "--format", "json"],
-        ["verify", "--grid-dt", "-h"],
-        ["decompose", "--grid-span", "-h"]],
-        ids=["sample_cutoff", "verify_cutoff", "decompose_cutoff",
-             "verify_tolerance_scale", "verify_grid_span",
-             "decompose_grid_span", "decompose_format", "verify_grid_dt_h",
-             "decompose_grid_span_h"])
-    def test_removed_option_is_usage_error(self, tmp_path, capsys, argv):
-        self.assert_unknown_option(capsys, argv, tmp_path / "out")
 
     @pytest.mark.parametrize("name", ["phi_oracle", "psi_oracle"])
     def test_oracle_at_huge_t_exits_0(self, capsys, name):
@@ -800,21 +781,6 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert len(captured.out.splitlines()) == 102
-
-    @pytest.mark.parametrize("argv", [
-        ["sample", "--function", "phi", "--from", "0", "--to", "1",
-         "--step", "0.5", "--output"],
-        ["verify", "--output"],
-        ["decompose", "--output"]], ids=["sample", "verify", "decompose"])
-    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, argv):
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        assert main(argv + [str(blocker / "out")]) == 2
-        captured = capsys.readouterr()
-        # no verdict and no summary for an output that was never written
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_decompose_writes_files(self, tmp_path):
         code = main(["decompose", "--output", str(tmp_path)])

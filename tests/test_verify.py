@@ -154,13 +154,6 @@ class TestCliVerify:
             payloads.append(json.dumps(d, sort_keys=True))
         assert payloads[0] == payloads[1]
 
-    def test_decay_and_eq8_claims_are_reported(self, report):
-        # the two claims that do not hold at their stated tolerances are
-        # still measured and reported rather than silently dropped
-        by_name = {c.name: c for c in report.checks}
-        assert "decay_slope_offset_from_minus_3" in by_name
-        assert "scale_identity_closure" in by_name
-
 
 # (module, attribute, corruption of the original, the check it fails),
 # each commented with the check's value under the corruption
