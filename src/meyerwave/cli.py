@@ -12,6 +12,7 @@ long option but --help takes a spaced value that starts with "-".
 """
 
 import argparse
+import contextlib
 import os
 import sys
 import traceback
@@ -72,23 +73,27 @@ def _cmd_sample(args):
 
 
 def _cmd_verify(args):
-    report = verify.run_verification()
-    # the report first: an output that cannot be written prints no verdict
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+    # the output is opened before the suite runs, so an unwritable one
+    # exits at once; it is written before the verdict is printed, so an
+    # output that cannot be written prints no verdict
+    with (open(args.output, "w", encoding="utf-8") if args.output
+          else contextlib.nullcontext()) as fh:
+        report = verify.run_verification()
+        if fh is not None:
             fh.write(report.to_json())
     print(report.render_table())
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAILED
 
 
 def _cmd_decompose(args):
+    # the directory first: one that cannot be made exits before the work
+    os.makedirs(args.output, exist_ok=True)
     sig = verify._sampled_psi()
     s_c, s_s = signals.decompose_quadrature(sig)
     rebuilt = signals.reconstruct_quadrature(s_c, s_s)
     error = rebuilt.samples - sig.samples
     t = sig.times
 
-    os.makedirs(args.output, exist_ok=True)
     series = [("s_c", s_c.samples), ("s_s", s_s.samples),
               ("reconstruction", rebuilt.samples),
               ("reconstruction_error", error)]

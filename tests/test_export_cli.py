@@ -76,11 +76,6 @@ class TestExportRequest:
 
 
 class TestSeries:
-    def test_row_count(self):
-        _, axis, values = evaluate_series(ExportRequest("phi", -8.0, 8.0, 0.01))
-        assert len(axis) == 1601
-        assert len(values) == 1601
-
     def test_function_names_and_order(self):
         # the order of FUNCTIONS is the order of the CLI's choices
         assert export.FUNCTIONS == (
@@ -567,6 +562,12 @@ USAGE_ERRORS = [
 @pytest.fixture
 def usage_error(tmp_path, monkeypatch, capsys):
     def check(argv, last_line):
+        # a usage error exits before the work: neither verify's suite nor
+        # decompose's signal is computed
+        def must_not_run():
+            pytest.fail(f"{argv!r} did the work before its usage error")
+        monkeypatch.setattr(verify, "run_verification", must_not_run)
+        monkeypatch.setattr(verify, "_sampled_psi", must_not_run)
         (tmp_path / "file").touch()
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(sys, "argv", ["meyerwave", *argv.split()])

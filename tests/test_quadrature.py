@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
+import meyerwave
 from meyerwave import closed_form, quadrature, spectral
 from meyerwave.quadrature import phi_oracle, psi_oracle
-from meyerwave.spectral import SQRT_2PI, W_HI, W_LO, W_MID, scale_spectrum
+from meyerwave.spectral import SQRT_2PI, scale_spectrum
 from meyerwave.verify import ORACLE_COMPARE_TOL
 
 SINGULAR_POINTS = [t for points, _ in closed_form.singular_points().values()
@@ -44,6 +48,50 @@ class TestIntegrate:
         val = integrate(lambda x: np.ones_like(x), 0.0, 1.0, x=40.0)
         assert val == pytest.approx(np.sin(40.0) / 40.0, abs=1e-15)
 
+    def test_odd_rule_counts_its_centre_node_once(self, monkeypatch):
+        # an odd rule's centre node is in both halves of the pairs, at half
+        # its weight; 5 nodes integrate cos over a unit interval to ~4e-13
+        monkeypatch.setattr(quadrature, "_GL_NODES", 5)
+        for x, exact in ((0.0, 1.0), (1.0, np.sin(1.0))):
+            val = integrate(lambda w: np.ones_like(w), 0.0, 1.0, x=x)
+            assert val == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["phi", "psi"])
+    def test_angle_addition_matches_direct_cosines(self, name):
+        # The rule takes cos(x w) at the nodes w = c + h u as
+        # cos(x c) cos(x h u) - sin(x c) sin(x h u); the direct rule takes
+        # it at the same nodes as one cosine.  Both are exact but for
+        # rounding, with eps = 2**-52, and |cos a - cos b| <= |a - b|:
+        # - the angles: fl(x fl(c + h u)) errs by at most eps |x| |w|, and
+        #   fl(x c) + fl(x h u) by eps/2 |x| (|c| + h |u|), so the two
+        #   differ by at most 3/2 eps |x| (|c| + h |u|);
+        # - five sines and cosines, each within 4 ulps, 2 eps, of a value
+        #   at most 1: 10 eps;
+        # - the weights f h W: a product in the direct rule, a sum or
+        #   difference and a product in angle addition: 3 eps/2;
+        # - the sums: the direct rule adds 32 terms per branch and 3
+        #   branches, 35 eps/2; angle addition 16 pairs, each two terms of
+        #   at most |f(c + h u)| + |f(c - h u)| times h W, with 2 products,
+        #   a difference and 3 branches, 2 * 22 eps/2.
+        # So a node adds |f(w) h W| (3/2 eps |x| (|c| + h |u|) + 51 eps).
+        _, _, spectrum, branches = oracle_rule(name)
+        x = np.concatenate([far_points(1e-3, quadrature.FAR_FROM * (1 - 1e-12),
+                                       400, seed=3), [0.0]])
+        u, weights = leggauss(quadrature._GL_NODES)
+        h = 0.5 * (branches[1] - branches[0])
+        direct = np.zeros_like(x)
+        bound = np.zeros_like(x)
+        eps = np.finfo(float).eps
+        for lo, hi in zip(branches, branches[1:]):
+            c = 0.5 * (lo + hi)
+            w = c + h * u
+            g = spectrum(w) * (h * weights)
+            direct += np.cos(np.multiply.outer(x, w)) @ g
+            bound += eps * (1.5 * np.abs(x)[:, None] * (abs(c) + np.abs(h * u))
+                            + 51) @ np.abs(g)
+        rule = quadrature._gauss_legendre_integrals(spectrum, branches, x)
+        assert np.all(np.abs(rule - direct) <= bound)
+
 
 class TestOracles:
     def test_phi_oracle_centre(self):
@@ -77,29 +125,38 @@ times = st.one_of(
               st.floats(-1e-4, 1e-4)))
 
 
-def scalar_oracle(name, t):
-    """Reference: a 32-node Gauss-Legendre sum per branch of one point."""
+def oracle_rule(name):
+    """x's shift, scale, integrand and branches of one oracle."""
     if name == "phi":
-        x, scale, branches = t, 2.0 / SQRT_2PI, (0.0, W_LO, W_MID)
-        spectrum = scale_spectrum
-    else:
-        x, scale = t - 0.5, 2.0
-        branches = (W_LO, W_MID, 2.0 * np.pi, W_HI)
-        def spectrum(w):
-            return scale_spectrum(0.5 * w) * scale_spectrum(w - 2.0 * np.pi)
+        return 0.0, 2.0 / SQRT_2PI, scale_spectrum, quadrature._PHI_BRANCHES
+    return 0.5, 2.0, quadrature._wavelet_integrand, quadrature._PSI_BRANCHES
+
+
+def scalar_oracle(name, t):
+    """Reference: the oracle's rule at one point, its terms summed exactly.
+    Every branch [c - h, c + h] is taken at the first branch's half-width
+    h, which the others equal but for the rounding of their ends, and each
+    pair of the 32 nodes c +/- h u, u > 0, adds the terms
+    cos(x c) cos(x h u) (f(c + h u) + f(c - h u)) h W
+    - sin(x c) sin(x h u) (f(c + h u) - f(c - h u)) h W."""
+    shift, scale, spectrum, branches = oracle_rule(name)
+    x = t - shift
     u, weights = leggauss(32)
-    total = 0.0
+    h = 0.5 * (branches[1] - branches[0])
+    hu, hw = h * u[16:], h * weights[16:]
+    terms = []
     for lo, hi in zip(branches, branches[1:]):
-        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        w = c + h * u
-        total += h * math.fsum(spectrum(w) * weights * np.cos(w * x))
-    return scale * total
+        c = 0.5 * (lo + hi)
+        f_plus, f_minus = spectrum(c + hu), spectrum(c - hu)
+        terms += list(np.cos(x * c) * np.cos(x * hu) * (f_plus + f_minus) * hw)
+        terms += list(-np.sin(x * c) * np.sin(x * hu) * (f_plus - f_minus) * hw)
+    return scale * math.fsum(terms)
 
 
 class TestBatchedOracles:
     def test_batch_matches_scalar_reference(self, monkeypatch):
-        # the batch sums the same terms in another order; every point takes
-        # the Gauss-Legendre path, as the reference does
+        # the batch sums the same terms, rounded, in another order; every
+        # point takes the Gauss-Legendre path, as the reference does
         monkeypatch.setattr(quadrature, "FAR_FROM", math.inf)
         t = np.concatenate([np.linspace(-8.0, 8.0, 33), SINGULAR_POINTS,
                             [30.0, -117.3, 1000.0]])
@@ -265,3 +322,19 @@ class TestRuleCache:
         t = np.concatenate([np.linspace(-30.0, 30.0, 241), SINGULAR_POINTS])
         for oracle, _ in ORACLES:
             assert np.array_equal(oracle(t), oracle(t))
+
+    def test_import_leaves_numpy_polynomial_unloaded(self):
+        # the rules are built on first use, and numpy.polynomial with them:
+        # a fresh interpreter shows it absent after `import meyerwave` and
+        # present after an oracle call
+        root = os.path.dirname(os.path.dirname(
+            os.path.abspath(meyerwave.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [root, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, meyerwave\n"
+                "print('numpy.polynomial' in sys.modules)\n"
+                "meyerwave.phi_oracle(0.0)\n"
+                "print('numpy.polynomial' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "True"], out.stderr
